@@ -25,7 +25,7 @@ from random import Random
 
 from . import dynamics, machines, oracle, specfile, verify
 from .codes import dual as dual_code
-from .residues import OrderExceedsCap, format_group
+from .residues import OrderExceedsCap, format_group, group_order
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,14 +34,7 @@ EXIT_INTERNAL = 4
 
 
 def _fmt(invariants) -> str:
-    return f"{format_group(invariants)} (order {_order(invariants)})"
-
-
-def _order(invariants) -> int:
-    out = 1
-    for d in invariants:
-        out *= d
-    return out
+    return f"{format_group(invariants)} (order {group_order(invariants)})"
 
 
 def _analysis(loaded: specfile.LoadedCode, cut: int | None,

@@ -5,6 +5,12 @@ On a finite axis every subgroup is closed, so the whole theory is exact set
 algebra: duals, restrictions (puncturing), subcodes (shortening), and
 conditioned codes.
 
+Each operation is one Howell projection of one matrix.  Restrictions, sums
+(``lift_restriction`` = C + W_{I-J}, ``cut_product``) and the dual are one
+``Subgroup`` pass each; shortening and conditioning take the rows of one
+Howell form that vanish on a leading column block
+(``residues.zero_block_span``), and intersections are one Zassenhaus pass.
+
 Conventions that matter elsewhere:
 
 * ``shorten`` keeps the full layout (outside-zero coordinates retained);
@@ -112,14 +118,24 @@ def restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
 
 @lru_cache(maxsize=16384)
 def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
-    """Subcode of words supported inside ``support``, on the full layout."""
+    """Subcode of words supported inside ``support``, on the full layout.
+
+    One pass over the basis with the columns outside ``support`` in front.
+    """
     ts = c.layout.subset(support)
     if not ts:
         return GroupCode.trivial(c.layout)
     if ts == c.layout.full_subset():
         return c
-    free = spaces.free_subgroup(c.layout, ts)
-    return GroupCode(c.layout, residues.intersect(c.carrier, free))
+    inside = c.layout.coords(ts)
+    outside = c.layout.coords(c.layout.complement(ts))
+    rows = residues.zero_block_span(
+        c.layout.modulus, c.carrier.basis[:, outside + inside], len(outside))
+    # ``inside`` is sorted, so putting back the zero columns keeps the form canonical
+    full = np.zeros((len(rows), c.layout.total_dim), dtype=rows.dtype)
+    full[:, inside] = rows
+    return GroupCode(c.layout, Subgroup(c.layout.modulus, full, c.layout.total_dim,
+                                        _canonical=True))
 
 
 def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:
@@ -131,30 +147,36 @@ def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:
 
 
 def lift_restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
-    """{w in W : w_{|J} in C_{|J}}, on the full layout (free outside J)."""
-    ts = c.layout.subset(times)
-    if not ts:
-        return GroupCode.full(c.layout)
-    inside = spaces.embed_subgroup(restriction(c, ts).carrier, c.layout, ts)
-    outside = spaces.free_subgroup(c.layout, c.layout.complement(ts))
-    return GroupCode(c.layout, residues.add(inside, outside))
+    """{w in W : w_{|J} in C_{|J}} = C + W_{I-J}, on the full layout."""
+    n = c.layout.total_dim
+    outside = c.layout.coords(c.layout.complement(times))
+    free = np.eye(n, dtype=c.carrier.basis.dtype)[outside]
+    return GroupCode(c.layout, Subgroup(c.layout.modulus,
+                                        np.vstack([c.carrier.basis, free]), n))
 
 
 def cut_product(c: GroupCode, times: TimeSubset) -> GroupCode:
-    """C_{|J} x C_{|I-J}, embedded on the full layout.  Contains C."""
+    """C_{|J} x C_{|I-J}, embedded on the full layout.  Contains C.
+
+    Spanned by the basis rows masked to J together with the same rows
+    masked to I-J.
+    """
     ts = c.layout.subset(times)
-    comp = c.layout.complement(ts)
-    if not ts or not comp:
+    if not ts or ts == c.layout.full_subset():
         return c
-    left = spaces.embed_subgroup(restriction(c, ts).carrier, c.layout, ts)
-    right = spaces.embed_subgroup(restriction(c, comp).carrier, c.layout, comp)
-    return GroupCode(c.layout, residues.add(left, right))
+    on_j = np.zeros(c.layout.total_dim, dtype=bool)
+    on_j[c.layout.coords(ts)] = True
+    b = c.carrier.basis
+    rows = np.vstack([np.where(on_j, b, 0), np.where(on_j, 0, b)])
+    return GroupCode(c.layout, Subgroup(c.layout.modulus, rows, c.layout.total_dim))
 
 
 def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
     """(C|D) = {w in C : w_{|I-J} in D}, with D a code on the I-J layout.
 
     D = full restriction gives back C; D = trivial gives the subcode C_{:J}.
+    One pass over [[B_{|I-J}, B], [D, 0]] for a basis B of C: the first block
+    vanishes exactly on the words of C whose I-J part lies in D.
     """
     ts = c.layout.subset(times)
     comp = c.layout.complement(ts)
@@ -162,7 +184,10 @@ def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
         return c
     if d.layout != c.layout.restricted(comp):
         raise ValueError("conditioning code must live on the complement's layout")
-    inside = spaces.embed_subgroup(d.carrier, c.layout, comp)
-    free = spaces.free_subgroup(c.layout, ts)
-    window = GroupCode(c.layout, residues.add(inside, free))
-    return code_intersect(c, window)
+    b, db = c.carrier.basis, d.carrier.basis
+    lead = b[:, c.layout.coords(comp)]
+    mat = np.vstack([np.hstack([lead, b]),
+                     np.hstack([db, np.zeros((len(db), b.shape[1]), dtype=b.dtype)])])
+    return GroupCode(c.layout, Subgroup(
+        c.layout.modulus, residues.zero_block_span(c.layout.modulus, mat, lead.shape[1]),
+        c.layout.total_dim, _canonical=True))

@@ -99,17 +99,18 @@ def window(spec: ConvSpec, axis_len: int, margin: int | None = None) -> Windowed
         raise ValueError(
             f"axis of length {axis_len} cannot hold a generator of degree {spec.max_degree}")
     layout = SymbolLayout.uniform(spec.modulus, axis_len, spec.width)
+    dtype = residues.entry_dtype(spec.modulus)
     rows = []
     for g in spec.generators:
         deg = spec.degree(g)
         for shift in range(0, axis_len - deg):
-            row = np.zeros(layout.total_dim, dtype=np.int64)
+            row = np.zeros(layout.total_dim, dtype=dtype)
             for d, sym in enumerate(g):
                 start = (shift + d) * spec.width
                 row[start:start + spec.width] = sym
             rows.append(row)
     for p in spec.patterns:
-        row = np.zeros(layout.total_dim, dtype=np.int64)
+        row = np.zeros(layout.total_dim, dtype=dtype)
         for k in range(axis_len):
             sym = p[k % len(p)]
             row[k * spec.width:(k + 1) * spec.width] = sym

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, code_sum,
                     cut_product, dual, lift_restriction, restricted_subcode,
@@ -106,15 +108,18 @@ def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
 
 @lru_cache(maxsize=4096)
 def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
-    """C_j: the subcode generated by words supported on length-(j+1) intervals."""
+    """C_j: the subcode generated by words supported on length-(j+1) intervals.
+
+    One pass over the stacked bases of every interval shortening.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = code.layout.axis_len
+    layout = code.layout
+    n = layout.axis_len
     j = min(level, n - 1)
-    acc = GroupCode.trivial(code.layout)
-    for k in range(0, n - j):
-        acc = code_sum(acc, shorten(code, code.layout.interval(k, k + j)))
-    return acc
+    rows = np.vstack([shorten(code, layout.interval(k, k + j)).carrier.basis
+                      for k in range(0, n - j)])
+    return GroupCode(layout, Subgroup(layout.modulus, rows, layout.total_dim))
 
 
 @lru_cache(maxsize=4096)
@@ -140,21 +145,16 @@ def subcode_supercode_duality_check(code: GroupCode, level: int) -> bool:
 # granules
 
 
-def _interval_parts(code: GroupCode, interval: Interval) -> tuple[TimeSubset, int, int]:
-    times = interval.times(code.layout)
-    return times, interval.lo, interval.hi
-
-
 def controller_granule_on(code: GroupCode, interval: Interval) -> Invariants:
     """Gamma over an interval (ordinary or end-around):
     the quotient of the interval subcode by the two one-short subcodes."""
-    times, first, last = _interval_parts(code, interval)
+    times = interval.times(code.layout)
     num = shorten(code, times)
     if len(times) == 1:
         den = Subgroup.trivial(code.layout.modulus, code.layout.total_dim)
     else:
-        den = residues.add(shorten(code, times - {last}).carrier,
-                           shorten(code, times - {first}).carrier)
+        den = residues.add(shorten(code, times - {interval.hi}).carrier,
+                           shorten(code, times - {interval.lo}).carrier)
     return quotient_invariants(num.carrier, den)
 
 
@@ -183,11 +183,11 @@ def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
 
 def end_around_observer_granule(code: GroupCode, interval: Interval) -> Invariants:
     """Phi over an end-around interval, via the two one-short window checks."""
-    times, first, last = _interval_parts(code, interval)
+    times = interval.times(code.layout)
     if len(times) < 2:
         raise ValueError("end-around observer granule needs at least two times")
-    checks = code_intersect(lift_restriction(code, times - {last}),
-                            lift_restriction(code, times - {first}))
+    checks = code_intersect(lift_restriction(code, times - {interval.hi}),
+                            lift_restriction(code, times - {interval.lo}))
     num = restriction(checks, times).carrier
     den = restriction(code, times).carrier
     return quotient_invariants(num, den)
@@ -275,28 +275,6 @@ def state_order_from_observer_granules(code: GroupCode, k: int) -> int:
 # interval controllability / observability
 
 
-def _product_of_restrictions(code: GroupCode, left: TimeSubset,
-                             right: TimeSubset) -> Subgroup:
-    """C_{|left} x C_{|right} inside the coordinates of left + right."""
-    from . import spaces
-    layout = code.layout
-    keep = sorted(left | right)
-    sub_layout = layout.restricted(keep)
-    remap = {t: i for i, t in enumerate(keep)}
-    parts = []
-    for ts in (left, right):
-        if ts:
-            sub = restriction(code, ts).carrier
-            parts.append(spaces.embed_subgroup(
-                sub, sub_layout, frozenset(remap[t] for t in ts)))
-    if not parts:
-        return Subgroup.trivial(layout.modulus, 0)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = residues.add(acc, p)
-    return acc
-
-
 def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
     """Both [m, n)-controllability characterizations, separately.
 
@@ -311,8 +289,8 @@ def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
     future = code.layout.subset(range(n, N))
     rest = past | future
     if rest:
-        lhs = restriction(code, rest).carrier
-        first = lhs == _product_of_restrictions(code, past, future)
+        lhs = restriction(code, rest)
+        first = code_equal(lhs, cut_product(lhs, range(len(past))))
     else:
         first = True
     second = code_equal(code, code_sum(shorten(code, code.layout.subset(range(0, n))),

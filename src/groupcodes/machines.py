@@ -177,6 +177,7 @@ class ObserverEncoder:
         self.code = code
         self.memory = machine_memory(code) if memory is None else memory
         self.observer = StateObserver(code, self.memory)
+        self._dtype = residues.entry_dtype(code.layout.modulus)
         layout = code.layout
         n = layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
@@ -202,7 +203,7 @@ class ObserverEncoder:
         out = []
         for g in self.input_groups:
             coeffs = [rng.randrange(g.modulus) for _ in range(g.num_generators)]
-            v = np.zeros(g.ambient, dtype=np.int64)
+            v = np.zeros(g.ambient, dtype=self._dtype)
             for c, row in zip(coeffs, g.basis):
                 v = (v + c * row) % g.modulus
             out.append(tuple(int(x) for x in v))
@@ -217,7 +218,7 @@ class ObserverEncoder:
         emitted: list[np.ndarray] = []
         trace = MachineTrace()
         for k in range(n):
-            inp = np.asarray(inputs[k], dtype=np.int64) % M
+            inp = np.asarray(inputs[k], dtype=self._dtype) % M
             if inp.shape != (layout.widths[k],):
                 raise InputNotInInputGroup(
                     f"input at time {k} must have width {layout.widths[k]}")
@@ -241,7 +242,7 @@ class ObserverEncoder:
     def _current_window(self, emitted: list[np.ndarray], k: int) -> np.ndarray:
         lo = max(0, k - self.memory)
         if lo >= k:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=self._dtype)
         return np.concatenate(emitted[lo:k])
 
     def _base_symbol(self, window: np.ndarray, k: int) -> np.ndarray:
@@ -249,7 +250,7 @@ class ObserverEncoder:
         layout = self.code.layout
         section = self._prefix_sections[k]
         if section is None:
-            return np.zeros(layout.widths[k], dtype=np.int64)
+            return np.zeros(layout.widths[k], dtype=self._dtype)
         lifted = section.lift(window)
         if lifted is None:
             raise dynamics.InternalInconsistency(
@@ -303,7 +304,12 @@ class SyndromeFormer:
         self.code = code
         layout = code.layout
         self.dual_code = dual(code)
-        rows = _span_reduce(layout, self.dual_code.carrier.basis)
+        # np.dot sums total_dim products below M^2 each; past int64 use exact ints
+        M = layout.modulus
+        self._dtype = (np.int64 if (M - 1) ** 2 * layout.total_dim < 1 << 63
+                       else object)
+        rows = [r.astype(self._dtype)
+                for r in _span_reduce(layout, self.dual_code.carrier.basis)]
         self._rows_by_end: dict[int, list[np.ndarray]] = {k: [] for k in layout.times()}
         self._spans: list[tuple[int, int, np.ndarray]] = []
         for row in rows:
@@ -318,7 +324,7 @@ class SyndromeFormer:
     def form(self, word: Sequence[int]) -> tuple[list[Vec], MachineTrace]:
         layout = self.code.layout
         M = layout.modulus
-        w = np.asarray(word, dtype=residues.entry_dtype(M)) % M
+        w = np.asarray(word, dtype=self._dtype) % M
         if w.shape != (layout.total_dim,):
             raise ValueError(f"expected a word of length {layout.total_dim}")
         trace = MachineTrace()
@@ -359,6 +365,7 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
     sf = SyndromeFormer(code)
     layout = code.layout
     M = layout.modulus
+    dtype = residues.entry_dtype(M)
     if prod(input_group_orders(code)) != code.order():
         return False
     for _ in range(trials):
@@ -372,12 +379,12 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
         return True  # full space: no perturbation outside the code exists
     for _ in range(trials):
         coeffs = [rng.randrange(M) for _ in range(code.carrier.num_generators)]
-        c = np.zeros(layout.total_dim, dtype=np.int64)
+        c = np.zeros(layout.total_dim, dtype=dtype)
         for q, row in zip(coeffs, code.carrier.basis):
             c = (c + q * row) % M
         while True:
             e = np.array([rng.randrange(M) for _ in range(layout.total_dim)],
-                         dtype=np.int64)
+                         dtype=dtype)
             if not code.contains(e):
                 break
         if sf.is_member((c + e) % M):

@@ -9,7 +9,12 @@ need everywhere:
 * greedy reduction against the basis yields a canonical coset representative.
 
 A ``Subgroup`` is an immutable row span held in Howell form.  Everything else
-(duals, sums, intersections, quotient invariants) is built on top of it.
+is built on top of it, and each operation is one projection of one Howell
+form: by the Howell property, the rows of a Howell form that vanish on a
+leading column block span exactly the elements of the span that vanish there
+(``zero_block_span``).  Annihilators, intersections (Zassenhaus) and, in
+``codes``, shortenings and conditioned codes are each one such pass; sums are
+one pass over stacked bases; quotient invariants come from ``snf``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .snf import lattice_quotient_invariants
+from .snf import _xgcd, lattice_quotient_invariants
 
 
 class OrderExceedsCap(Exception):
@@ -60,22 +65,10 @@ def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
 
     The 2x2 matrix [[s, t], [u, v]] has determinant 1 over the integers, so it
     is invertible over Z_M for every M; applying it as a row operation
-    preserves row spans.
+    preserves row spans.  Needs a or b nonzero.
     """
-    if b == 0:
-        return a, 1, 0, 0, 1
-    if a == 0:
-        return b, 0, 1, 1, 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    g = old_r
-    return g, old_s, old_t, -(b // g), a // g
+    g, s, t = _xgcd(a, b)
+    return g, s, t, -(b // g), a // g
 
 
 def _unit_lifting(a: int, M: int) -> tuple[int, int]:
@@ -290,41 +283,43 @@ def add(h1: Subgroup, h2: Subgroup) -> Subgroup:
     return Subgroup(h1.modulus, stacked, h1.ambient)
 
 
-def left_kernel(modulus: int, mat: np.ndarray, ambient: int) -> Subgroup:
-    """{x in (Z_M)^r : x @ mat = 0 (mod M)} for an (r, n) matrix.
+def zero_block_span(modulus: int, mat: np.ndarray, lead: int) -> np.ndarray:
+    """Howell rows of ``mat`` that vanish on its first ``lead`` columns,
+    with those columns dropped.
 
-    Works by Howell-reducing [mat | I]: by the Howell property, the rows whose
-    first n columns vanish span exactly the kernel, read off in the identity
-    block.
+    By the Howell property these rows span exactly the elements of the row
+    span that vanish on the leading block.  Pivots increase down the form, so
+    they are its trailing rows, and they are already a Howell form.
     """
-    M = check_modulus(modulus)
-    r, n = mat.shape
-    if ambient != r:
-        raise ValueError("ambient must equal the row count of mat")
-    aug = np.hstack([(mat % M).astype(entry_dtype(M)),
-                     np.eye(r, dtype=entry_dtype(M))])
-    h = howell_form(M, aug)
-    keep = [row[n:] for row in h if not row[:n].any()]
-    if not keep:
-        return Subgroup.trivial(M, r)
-    return Subgroup(M, np.array(keep, dtype=entry_dtype(M)), r, _canonical=True)
+    h = howell_form(modulus, mat)
+    top = sum(1 for row in h if row[:lead].any())
+    return h[top:, lead:]
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
     """Annihilator {x : b . x = 0 (mod M) for every basis row b}.
 
-    Satisfies orthogonal(orthogonal(h)) == h and
+    The left kernel of the transposed basis, read off [basis^T | I] in one
+    pass.  Satisfies orthogonal(orthogonal(h)) == h and
     order(h) * order(orthogonal(h)) == M ** ambient.
     """
-    if h.num_generators == 0:
-        return Subgroup.full(h.modulus, h.ambient)
-    return left_kernel(h.modulus, h.basis.T.copy(), h.ambient)
+    M, n = h.modulus, h.ambient
+    aug = np.hstack([h.basis.T, np.eye(n, dtype=h.basis.dtype)])
+    return Subgroup(M, zero_block_span(M, aug, h.num_generators), n,
+                    _canonical=True)
 
 
 def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    """Exact intersection, via the sum of the annihilators."""
+    """Exact intersection, in one Zassenhaus pass over [[A, A], [B, 0]].
+
+    The span holds (a + b, a) for a in A, b in B; the first block vanishes
+    exactly when a = -b, so the second block then runs over A & B.
+    """
     h1._check_compatible(h2)
-    return orthogonal(add(orthogonal(h1), orthogonal(h2)))
+    M, n = h1.modulus, h1.ambient
+    a, b = h1.basis, h2.basis
+    mat = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
+    return Subgroup(M, zero_block_span(M, mat, n), n, _canonical=True)
 
 
 def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:

@@ -93,7 +93,7 @@ class SymbolLayout:
         return SymbolLayout(self.modulus, tuple(self.widths[t] for t in ts))
 
     def split_symbols(self, word: Sequence[int] | np.ndarray) -> list[tuple[int, ...]]:
-        w = np.asarray(word, dtype=np.int64) % self.modulus
+        w = np.asarray(word, dtype=residues.entry_dtype(self.modulus)) % self.modulus
         if w.shape != (self.total_dim,):
             raise ValueError(f"expected a word of length {self.total_dim}")
         return [tuple(int(x) for x in w[self.block_start(k):self.block_start(k) + self.widths[k]])
@@ -139,29 +139,10 @@ def embed_zero(layout: SymbolLayout, times: Iterable[int],
                v: Sequence[int] | np.ndarray) -> np.ndarray:
     """Place a restricted vector in its blocks, zeros elsewhere."""
     idx = layout.coords(times)
-    a = np.asarray(v, dtype=np.int64)
+    dtype = residues.entry_dtype(layout.modulus)
+    a = np.asarray(v, dtype=dtype)
     if a.shape != (len(idx),):
         raise ValueError(f"expected a vector of length {len(idx)}")
-    out = np.zeros(layout.total_dim, dtype=np.int64)
+    out = np.zeros(layout.total_dim, dtype=dtype)
     out[idx] = a % layout.modulus
     return out
-
-
-def embed_subgroup(h: Subgroup, layout: SymbolLayout,
-                   times: Iterable[int]) -> Subgroup:
-    """Embed a subgroup of the restricted space into the full space."""
-    idx = layout.coords(times)
-    if h.ambient != len(idx):
-        raise ValueError("subgroup ambient does not match the selected blocks")
-    rows = np.zeros((h.num_generators, layout.total_dim), dtype=np.int64)
-    rows[:, idx] = h.basis
-    return Subgroup(layout.modulus, rows, layout.total_dim)
-
-
-def free_subgroup(layout: SymbolLayout, times: Iterable[int]) -> Subgroup:
-    """The subgroup of words free on ``times`` and zero elsewhere."""
-    idx = layout.coords(times)
-    rows = np.zeros((len(idx), layout.total_dim), dtype=np.int64)
-    for i, j in enumerate(idx):
-        rows[i, j] = 1
-    return Subgroup(layout.modulus, rows, layout.total_dim, _canonical=True)

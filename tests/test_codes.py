@@ -93,19 +93,21 @@ def test_conditioned_spec_cases():
 
 
 def test_conditioned_matches_filter_oracle():
+    # composite moduli exercise the zero divisors of the one-pass projection
     rng = random.Random(21)
-    for _ in range(15):
-        c = random_code(rng, 2, 4)
-        j = c.layout.subset({t for t in range(4) if rng.random() < 0.5} or {0})
-        if len(j) == 4:
-            j = c.layout.subset({0, 1})
-        comp = c.layout.complement(j)
-        d = random_code(rng, 2, len(comp))
-        got = conditioned(c, d, j)
-        comp_idx = c.layout.coords(comp)
-        want = {w for w in oracle.code_elements(c)
-                if d.contains([w[i] for i in comp_idx])}
-        assert oracle.code_elements(got) == want
+    for modulus in (2, 4, 6, 9):
+        for _ in range(15):
+            c = random_code(rng, modulus, 4)
+            j = c.layout.subset({t for t in range(4) if rng.random() < 0.5} or {0})
+            if len(j) == 4:
+                j = c.layout.subset({0, 1})
+            comp = c.layout.complement(j)
+            d = random_code(rng, modulus, len(comp))
+            got = conditioned(c, d, j)
+            comp_idx = c.layout.coords(comp)
+            want = {w for w in oracle.code_elements(c)
+                    if d.contains([w[i] for i in comp_idx])}
+            assert oracle.code_elements(got) == want, (modulus, c, d, sorted(j))
 
 
 def test_code_plumbing(rate13):

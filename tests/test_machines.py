@@ -10,6 +10,7 @@ import pytest
 from groupcodes import dynamics as dyn
 from groupcodes import machines as mc
 from groupcodes.codes import GroupCode, dual, restriction
+from groupcodes.convolutional import ConvSpec, window
 from groupcodes.spaces import SymbolLayout
 
 
@@ -191,3 +192,16 @@ def test_roundtrip_random_codes():
         code = random_code(rng, rng.choice([2, 3, 4]), rng.randint(2, 6),
                            width=rng.choice([1, 2]))
         assert mc.roundtrip_check(code, trials=3, rng=rng)
+
+
+def test_machines_past_int64():
+    M = 2**64 + 13
+    code = window(ConvSpec(M, 2, generators=(((1, 1), (0, 1), (1, 0)),)), 8).code
+    assert dyn.observability_index(code) == 2
+    assert dyn.controllability_index(code) == 2
+    enc = mc.ObserverEncoder(code)
+    word, trace = enc.encode(enc.random_inputs(random.Random(3)))
+    assert code.contains(word)
+    assert code.layout.split_symbols(word) == trace.symbols()
+    assert mc.SyndromeFormer(code).is_member(word)
+    assert mc.roundtrip_check(code, trials=3, rng=random.Random(4))

@@ -1,5 +1,7 @@
 """Howell-form subgroup algebra over Z_M."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,11 +179,18 @@ def test_intersect_spec_examples():
 
 
 def test_intersect_matches_element_sets():
-    h1 = S(6, [(2, 3), (0, 3)])
-    h2 = S(6, [(1, 4)])
-    got = {tuple(map(int, e)) for e in R.intersect(h1, h2).enumerate()}
-    want = oracle.subgroup_elements(h1) & oracle.subgroup_elements(h2)
-    assert got == want
+    pairs = [(S(6, [(2, 3), (0, 3)]), S(6, [(1, 4)]))]
+    rng = random.Random(5)
+    for m in (2, 4, 6, 9):
+        for _ in range(10):
+            pairs.append(tuple(
+                S(m, [[rng.randrange(m) for _ in range(3)]
+                      for _ in range(rng.randint(0, 3))], 3)
+                for _ in range(2)))
+    for h1, h2 in pairs:
+        got = {tuple(map(int, e)) for e in R.intersect(h1, h2).enumerate()}
+        want = oracle.subgroup_elements(h1) & oracle.subgroup_elements(h2)
+        assert got == want, (h1, h2)
 
 
 # --- order / enumerate ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from groupcodes import residues as R
 from groupcodes import verify
 from groupcodes.residues import Subgroup
@@ -30,6 +32,15 @@ def test_composite_moduli_hold():
 def test_wide_symbols_hold():
     s = verify.run_trials(seed=78, trials=10, moduli=(2, 3, 4, 6),
                           max_axis=4, max_width=3)
+    assert s.ok, s.to_dict()
+
+
+@pytest.mark.parametrize("modulus", [2**31 - 1, 2**40, 2**64 + 13, 2**70])
+def test_battery_holds_at_large_moduli(modulus):
+    # products of residues leave int64 from M ~ 2^31, and residues themselves
+    # past 2^63; every check, machine roundtrip included, must stay exact
+    s = verify.run_trials(seed=5, trials=6, moduli=(modulus,), max_axis=5,
+                          max_width=2)
     assert s.ok, s.to_dict()
 
 
