@@ -6,10 +6,12 @@ Three sliding-window devices, generic over any code on a finite axis:
   canonical label of its minimal state at the current cut;
 * ``ObserverEncoder`` turns one free input per time, drawn from the
   first-output group F_k, into a codeword, keeping only an L-symbol window;
-* ``SyndromeFormer`` pairs an arbitrary word against a span-reduced basis of
-  the dual code, emitting each check at the last time its support touches;
-  the kernel of the map is exactly the code, and distinct cosets give
-  distinct syndrome sequences.
+* ``SyndromeFormer`` pairs an arbitrary word against checks of the dual code
+  that generate its controller granules, emitting each check at the last time
+  its support touches; the kernel of the map is exactly the code, distinct
+  cosets give distinct syndrome sequences, and its memory (the longest
+  check's last time minus its first) equals the observer memory of the code
+  for every M.
 
 The window length L is the observer memory measured with no interior margin,
 so windowed operation agrees with full-prefix operation on every axis; codes
@@ -31,7 +33,6 @@ import numpy as np
 from . import dynamics, residues
 from .codes import GroupCode, dual, restriction, shorten
 from .residues import Subgroup, howell_form
-from .spaces import SymbolLayout
 
 
 class WindowNotInRestriction(Exception):
@@ -259,42 +260,44 @@ class ObserverEncoder:
         return self._zero_extension[k].reduce(g0)
 
 
-def _block_span(layout: SymbolLayout, row: np.ndarray) -> tuple[int, int] | None:
-    touched = [k for k in layout.times() if row[list(layout.block(k))].any()]
-    return (touched[0], touched[-1]) if touched else None
+def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, np.ndarray]]:
+    """Checks (lo, hi, row) of a dual code, shortest span first.
 
-
-def _span_reduce(layout: SymbolLayout, basis: np.ndarray) -> list[np.ndarray]:
-    """Shorten basis rows by elementary row operations.
-
-    The Howell form is canonical but not span-minimal: reducing above pivots
-    can stretch rows across many time blocks.  Greedily subtracting multiples
-    of other rows whenever that strictly shrinks a row's block span preserves
-    the row span while driving each check toward a local window.
+    One Howell pass per start k, with the columns of the times before k in
+    front and the later times in reverse, puts each pivot at its row's last
+    time; by the Howell property the rows that end by time b span exactly the
+    interval subcode of the dual on [k, b].  Intervals are taken shortest
+    first, and a row is kept only when the rows kept so far do not span it.
+    Those already span every shorter interval subcode, so each kept row
+    touches both ends of its interval and the rows of span j generate the
+    granules Gamma_[k, k+j] of the dual.  The longest span is then the dual's
+    controller memory, which equals the observer memory of the code.
     """
-    M = layout.modulus
-    rows = [r.copy() for r in basis]
-    if M > 256:  # scalar sweep is O(M); beyond small moduli keep raw rows
-        rows.sort(key=lambda r: (_block_span(layout, r), tuple(int(x) for x in r)))
-        return rows
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            si = _block_span(layout, rows[i])
-            if si is None:
-                continue
-            for j in range(len(rows)):
-                if i == j:
-                    continue
-                for t in range(1, M):
-                    cand = (rows[i] - t * rows[j]) % M
-                    sc = _block_span(layout, cand)
-                    if sc is not None and sc[1] - sc[0] < si[1] - si[0]:
-                        rows[i], si = cand, sc
-                        changed = True
-    rows.sort(key=lambda r: (_block_span(layout, r), tuple(int(x) for x in r)))
-    return rows
+    layout, carrier = dual_code.layout, dual_code.carrier
+    M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+    basis = carrier.basis
+    ends: list[dict[int, list[np.ndarray]]] = []  # per start: rows by last time
+    for k in range(N):
+        lead = layout.coords(range(k))
+        tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
+        tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
+        by_end: dict[int, list[np.ndarray]] = {}
+        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)):
+            full = np.zeros(n, dtype=basis.dtype)
+            full[tail] = row
+            by_end.setdefault(tail_time[int(np.argmax(row != 0))], []).append(full)
+        ends.append(by_end)
+    kept = Subgroup.trivial(M, n)
+    checks: list[tuple[int, int, np.ndarray]] = []
+    for j in range(N):
+        for k in range(N - j):
+            for row in ends[k].get(k + j, ()):
+                if not kept.contains(row):
+                    kept = Subgroup(M, np.vstack([kept.basis, row]), n)
+                    checks.append((k, k + j, row))
+                    if kept == carrier:
+                        return checks
+    return checks
 
 
 class SyndromeFormer:
@@ -308,15 +311,12 @@ class SyndromeFormer:
         M = layout.modulus
         self._dtype = (np.int64 if (M - 1) ** 2 * layout.total_dim < 1 << 63
                        else object)
-        rows = [r.astype(self._dtype)
-                for r in _span_reduce(layout, self.dual_code.carrier.basis)]
+        self._spans = [(lo, hi, row.astype(self._dtype)) for lo, hi, row
+                       in _granule_checks(self.dual_code)]
         self._rows_by_end: dict[int, list[np.ndarray]] = {k: [] for k in layout.times()}
-        self._spans: list[tuple[int, int, np.ndarray]] = []
-        for row in rows:
-            first, last_t = _block_span(layout, row)
-            self._rows_by_end[last_t].append(row)
-            self._spans.append((first, last_t, row))
-        self.memory = max((b - a for a, b, _ in self._spans), default=0)
+        for _, hi, row in self._spans:
+            self._rows_by_end[hi].append(row)
+        self.memory = max((hi - lo for lo, hi, _ in self._spans), default=0)
 
     def syndrome_width(self, k: int) -> int:
         return len(self._rows_by_end[k])
@@ -356,13 +356,16 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
                     rng: Random | None = None) -> bool:
     """Encoder, observer, and syndrome-former agree on random traffic.
 
-    Encoded words have all-zero syndromes and per-time states matching the
-    full-word observer; perturbations by non-codewords are flagged; and the
-    input groups account for the code exactly.
+    The syndrome-former's memory is the encoder's; encoded words have
+    all-zero syndromes and per-time states matching the full-word observer;
+    perturbations by non-codewords are flagged; and the input groups account
+    for the code exactly.
     """
     rng = rng or Random(0)
     enc = ObserverEncoder(code)
     sf = SyndromeFormer(code)
+    if sf.memory != enc.memory:
+        return False
     layout = code.layout
     M = layout.modulus
     dtype = residues.entry_dtype(M)

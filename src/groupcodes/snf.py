@@ -1,9 +1,11 @@
-"""Integer Hermite and Smith normal forms for small dense matrices.
+"""Smith normal forms for the quotient invariants of subgroups of (Z_M)^n.
 
 Used to classify finite abelian quotients A/B of subgroups of (Z_M)^n.  Both
 subgroups are lifted to integer lattices sandwiched between M*Z^n and Z^n;
 the invariant factors of the quotient are the nontrivial elementary divisors
-of the change-of-basis matrix between the two lattices.
+of the change-of-basis matrix between the two lattices.  The Hermite basis of
+each lattice is its Howell form lifted to Z, so only the Smith step runs over
+Z.
 
 Everything here runs on plain Python ints: intermediate entries in a Smith
 reduction can overflow fixed-width words even for small inputs.
@@ -11,7 +13,6 @@ reduction can overflow fixed-width words even for small inputs.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -29,39 +30,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_basis(rows: Sequence[Sequence[int]], n: int) -> Matrix:
-    """Row-style Hermite basis of the lattice spanned by ``rows`` in Z^n.
+def lifted_howell_basis(modulus: int, ambient: int,
+                        rows: Sequence[Sequence[int]]) -> Matrix:
+    """Hermite basis of span_Z(rows) + M*Z^ambient, for a Howell form ``rows``.
 
-    Returns an upper-triangular full-rank basis (the input lattices here
-    always contain M*Z^n, hence have rank n), with positive diagonal and
-    off-diagonal entries reduced modulo the pivot below them.
+    Each Howell row, lifted to Z with entries in [0, M), is the basis row of
+    its pivot column, and M*e_c is the row of each column c without a pivot.
+    The result is upper triangular with every entry above the diagonal
+    reduced modulo the diagonal entry below it, so it is the Hermite normal
+    form itself; the Howell property puts M*e_c into its span at the pivot
+    columns too.
     """
-    work: Matrix = [list(map(int, r)) for r in rows if any(r)]
-    basis: Matrix = []
-    for col in range(n):
-        hits = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not hits:
-            raise ValueError("lattice is not full rank")
-        pivot = hits[0]
-        for r in hits[1:]:
-            g, s, t = _xgcd(pivot[col], r[col])
-            u, v = -(r[col] // g), pivot[col] // g
-            pivot, r = ([s * x + t * y for x, y in zip(pivot, r)],
-                        [u * x + v * y for x, y in zip(pivot, r)])
-            if any(r):
-                rest.append(r)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
-    # reduce above-diagonal entries
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            q = basis[i][j] // basis[j][j]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
-    return basis
+    by_pivot = {next(c for c, x in enumerate(row) if x): list(row) for row in rows}
+    return [by_pivot.get(c) or [modulus if i == c else 0 for i in range(ambient)]
+            for c in range(ambient)]
 
 
 def solve_upper_triangular(basis: Matrix, target: Sequence[int]) -> list[int]:
@@ -140,12 +122,11 @@ def lattice_quotient_invariants(modulus: int, ambient: int,
                                 b_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors of L_A / L_B, where L_X = span_Z(X) + M*Z^ambient.
 
+    Both row sets must be Howell forms over Z_M (see ``lifted_howell_basis``).
     Callers guarantee span(b) <= span(a) over Z_M, which makes L_B <= L_A.
     """
-    m_block = [[modulus if i == j else 0 for j in range(ambient)]
-               for i in range(ambient)]
-    ha = hermite_basis(list(a_rows) + m_block, ambient)
-    hb = hermite_basis(list(b_rows) + m_block, ambient)
+    ha = lifted_howell_basis(modulus, ambient, a_rows)
+    hb = lifted_howell_basis(modulus, ambient, b_rows)
     change = [solve_upper_triangular(ha, row) for row in hb]
     factors = [d for d in smith_diagonal(change) if d > 1]
     for small, big in zip(factors, factors[1:]):

@@ -9,8 +9,10 @@ import pytest
 
 from groupcodes import dynamics as dyn
 from groupcodes import machines as mc
-from groupcodes.codes import GroupCode, dual, restriction
+from groupcodes import verify
+from groupcodes.codes import GroupCode, dual, restriction, shorten
 from groupcodes.convolutional import ConvSpec, window
+from groupcodes.residues import Subgroup
 from groupcodes.spaces import SymbolLayout
 
 
@@ -162,6 +164,28 @@ def test_syndrome_former_memory_matches_observer_memory(rate13, repetition6, pai
     assert sf.memory <= dyn.observability_index(code, 3)
     syn_widths = [sf.syndrome_width(k) for k in range(6)]
     assert sum(syn_widths) == dual(restriction(code, interior)).carrier.num_generators
+    # width-2 taps over prime powers, over M > 256 and over M > 2^63
+    for M, taps, n in ((257, ((1, 1), (0, 1), (1, 0)), 10),
+                       (8, ((1, 1), (0, 1), (0, 7)), 10),
+                       (4, ((1, 3), (0, 3), (0, 1)), 10),
+                       (2**64 + 13, ((1, 1), (0, 1), (1, 0)), 8)):
+        code = window(ConvSpec(M, 2, generators=(taps,)), n).code
+        assert mc.SyndromeFormer(code).memory == mc.machine_memory(code)
+
+
+def test_syndrome_checks_span_interval_subcodes():
+    # the checks inside each interval span the dual's shortening to it
+    rng = random.Random(23)
+    for M in (2, 4, 6, 9, 12, 2**64 + 13):
+        for _ in range(5):
+            code = verify.random_code(rng, (M,), 6, 2)
+            lay, d = code.layout, dual(code)
+            sf = mc.SyndromeFormer(code)
+            for lo in lay.times():
+                for hi in range(lo, lay.axis_len):
+                    inside = [row for a, b, row in sf._spans if lo <= a and b <= hi]
+                    assert (Subgroup.span(M, inside, lay.total_dim)
+                            == shorten(d, lay.interval(lo, hi)).carrier)
 
 
 def test_syndrome_former_flags_perturbations(rate13):

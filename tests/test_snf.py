@@ -1,30 +1,29 @@
 """Integer normal forms behind the quotient-invariant computation."""
 
 import random
+from math import prod
 
-from groupcodes import snf
-
-
-def test_hermite_upper_triangular():
-    basis = snf.hermite_basis([[2, 1], [0, 3], [4, 4]], 2)
-    assert basis[0][0] > 0 and basis[1][1] > 0
-    assert basis[1][0] == 0
-    assert 0 <= basis[0][1] < basis[1][1]
+from groupcodes import residues, snf
 
 
 def test_hermite_solve_roundtrip():
+    # the Howell form lifted to Z is the Hermite basis of span_Z + M*Z^n
     rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        m = rng.randint(2, 8)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n + 1)]
-        rows += [[m if i == j else 0 for j in range(n)] for i in range(n)]
-        basis = snf.hermite_basis(rows, n)
-        # every original row must solve exactly
-        for row in rows:
-            x = snf.solve_upper_triangular(basis, row)
-            back = [sum(x[i] * basis[i][j] for i in range(n)) for j in range(n)]
-            assert back == list(row)
+    for M in (2, 4, 6, 9, 12, 36, 2**64 + 13):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            rows = [[rng.randrange(M) for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 1))]
+            h = residues.span(M, rows, n)
+            howell = [list(map(int, r)) for r in h.basis]
+            basis = snf.lifted_howell_basis(M, n, howell)
+            assert all(basis[i][j] == 0 for i in range(n) for j in range(i))
+            assert prod(basis[i][i] for i in range(n)) == M ** n // h.order()
+            m_block = [[M if i == j else 0 for j in range(n)] for i in range(n)]
+            for row in howell + m_block:
+                x = snf.solve_upper_triangular(basis, row)
+                back = [sum(x[i] * basis[i][j] for i in range(n)) for j in range(n)]
+                assert back == row
 
 
 def test_smith_diagonal_known_values():
