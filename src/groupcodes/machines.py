@@ -94,16 +94,18 @@ class _Section:
         self.perm = perm
         h = howell_form(carrier.modulus, carrier.basis[:, perm])
         k = len(idx)
-        self.front_rows = []
-        self.front_pivots = []
-        self.lifts = []
-        for row in h:
-            p = int(np.argmax(row != 0))
+        # int rows: each front row as its tail from its pivot, with its lift
+        self.front_rows: list[list[int]] = []
+        self.front_pivots: list[tuple[int, int]] = []
+        self.lifts: list[list[int]] = []
+        for row in h.tolist():
+            p = next(c for c, x in enumerate(row) if x)
             if p < k:
-                self.front_rows.append(row[:k])
-                self.front_pivots.append((p, int(row[p])))
-                full = np.zeros(carrier.ambient, dtype=self.dtype)
-                full[perm] = row
+                self.front_rows.append(row[p:k])
+                self.front_pivots.append((p, row[p]))
+                full = [0] * carrier.ambient
+                for c, x in zip(perm, row):
+                    full[c] = x
                 self.lifts.append(full)
 
     def lift(self, target: Sequence[int]) -> np.ndarray | None:
@@ -112,15 +114,14 @@ class _Section:
         r = np.asarray(target, dtype=self.dtype) % M
         if r.shape != (len(self.idx),):
             raise ValueError("target length does not match the selection")
-        out = np.zeros(self.ambient, dtype=self.dtype)
-        if not self.lifts:
-            return None if r.any() else out
+        r = r.tolist()
+        out = [0] * self.ambient
         for row, (col, d), full in zip(self.front_rows, self.front_pivots, self.lifts):
-            q = int(r[col]) // d
+            q = r[col] // d
             if q:
-                r = (r - q * row) % M
-                out = (out + q * full) % M
-        return None if r.any() else out
+                r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row)]
+                out = [(a + q * b) % M for a, b in zip(out, full)]
+        return None if any(r) else np.array(out, dtype=self.dtype)
 
 
 def machine_memory(code: GroupCode) -> int:

@@ -15,6 +15,12 @@ leading column block span exactly the elements of the span that vanish there
 (``zero_block_span``).  Annihilators, intersections (Zassenhaus) and, in
 ``codes``, shortenings and conditioned codes are each one such pass; sums are
 one pass over stacked bases; quotient invariants come from ``snf``.
+
+The elimination kernel (``howell_form`` and ``Subgroup.reduce``) runs on rows
+of plain Python ints, which never overflow, so it is exact for every M
+whatever the dtype; it touches only the tail of each row from its leading
+column on.  Numpy only stores ``Subgroup.basis`` and carries the arrays that
+functions take and return, of dtype ``entry_dtype(M)``.
 """
 
 from __future__ import annotations
@@ -102,44 +108,54 @@ def howell_form(modulus: int, rows: np.ndarray) -> np.ndarray:
       canonical).
     """
     M = check_modulus(modulus)
-    dtype = entry_dtype(M)
     n = rows.shape[1]
-    work = [r.astype(dtype) % M for r in rows if (r % M).any()]
-    pivots: list[tuple[int, int]] = []  # (column, divisor) per result row
-    result: list[np.ndarray] = []
+    # A row in play is zero left of its leading column, so it is kept as its
+    # tail from there, queued at that column.  Rows join the queues in the
+    # order they come into play, which is the order a scan of every row in
+    # play would meet them column by column.
+    queues: list[list[list[int]]] = [[] for _ in range(n)]
+
+    def enter(tail: list[int], start: int) -> None:
+        for i, x in enumerate(tail):
+            if x:
+                queues[start + i].append(tail[i:])
+                return
+
+    for r in rows.tolist():
+        enter([x % M for x in r], 0)
+    result: list[tuple[int, int, list[int]]] = []  # (column, divisor, tail)
     for col in range(n):
-        hits = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
+        hits = queues[col]
         if not hits:
-            work = rest
             continue
         pivot_row = hits[0]
         for r in hits[1:]:
-            g, s, t, u, v = _gcdex(int(pivot_row[col]), int(r[col]))
-            pivot_row, residual = ((s * pivot_row + t * r) % M,
-                                   (u * pivot_row + v * r) % M)
-            if residual.any():
-                rest.append(residual)
-        d, unit = _unit_lifting(int(pivot_row[col]), M)
-        pivot_row = (unit * pivot_row) % M
+            g, s, t, u, v = _gcdex(pivot_row[0], r[0])
+            residual = [(u * a + v * b) % M for a, b in zip(pivot_row, r)]
+            # when one leading entry divides the other, (s, t) picks a row
+            if (s, t) == (0, 1):
+                pivot_row = r
+            elif (s, t) != (1, 0):
+                pivot_row = [(s * a + t * b) % M for a, b in zip(pivot_row, r)]
+            enter(residual, col)
+        d, unit = _unit_lifting(pivot_row[0], M)
+        if unit != 1:
+            pivot_row = [unit * a % M for a in pivot_row]
         # Howell closure: (M/d)*row drops out of this column but may carry
         # information further right; keep it in play.
-        extra = ((M // d) * pivot_row) % M
-        if extra.any():
-            rest.append(extra)
-        result.append(pivot_row)
-        pivots.append((col, d))
-        work = rest
+        if d != 1:
+            enter([(M // d) * a % M for a in pivot_row], col)
+        result.append((col, d, pivot_row))
     # Reduce entries above each pivot modulo the pivot.
     for i in range(len(result) - 2, -1, -1):
-        for j in range(i + 1, len(result)):
-            col, d = pivots[j]
-            q = int(result[i][col]) // d
+        start, _, row = result[i]
+        for col, d, below in result[i + 1:]:
+            q = row[col - start] // d
             if q:
-                result[i] = (result[i] - q * result[j]) % M
-    if not result:
-        return np.zeros((0, n), dtype=dtype)
-    return np.array(result, dtype=dtype)
+                row[col - start:] = [(a - q * b) % M
+                                     for a, b in zip(row[col - start:], below)]
+    return np.array([[0] * col + row for col, _, row in result],
+                    dtype=entry_dtype(M)).reshape(len(result), n)
 
 
 class Subgroup:
@@ -160,9 +176,8 @@ class Subgroup:
         mat.setflags(write=False)
         self.ambient = ambient
         self.basis = mat
-        self._pivots = tuple(
-            (int(np.argmax(row != 0)), int(row[np.argmax(row != 0)]))
-            for row in mat)
+        self._pivots = tuple(next((c, x) for c, x in enumerate(row) if x)
+                             for row in mat.tolist())
         self._hash: int | None = None
 
     # -- construction -----------------------------------------------------
@@ -226,12 +241,12 @@ class Subgroup:
         same representative iff they differ by an element of the subgroup.
         """
         M = self.modulus
-        r = self._vector(v)
-        for row, (col, d) in zip(self.basis, self._pivots):
-            q = int(r[col]) // d
+        r = self._vector(v).tolist()
+        for row, (col, d) in zip(self.basis.tolist(), self._pivots):
+            q = r[col] // d
             if q:
-                r = (r - q * row) % M
-        return r
+                r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row[col:])]
+        return np.array(r, dtype=entry_dtype(M))
 
     def contains(self, v: Sequence[int] | np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -292,7 +307,7 @@ def zero_block_span(modulus: int, mat: np.ndarray, lead: int) -> np.ndarray:
     they are its trailing rows, and they are already a Howell form.
     """
     h = howell_form(modulus, mat)
-    top = sum(1 for row in h if row[:lead].any())
+    top = np.count_nonzero(h[:, :lead].any(axis=1))
     return h[top:, lead:]
 
 

@@ -43,8 +43,13 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecFileError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_list(x, msg: str) -> list[int]:
-    _require(isinstance(x, list) and all(isinstance(v, int) for v in x), msg)
+    _require(isinstance(x, list) and all(_is_int(v) for v in x), msg)
     return list(x)
 
 
@@ -60,11 +65,13 @@ def loads(text: str) -> LoadedCode:
     _require(kind in ("explicit", "convolutional"),
              "kind must be 'explicit' or 'convolutional'")
     modulus = doc.get("modulus")
-    _require(isinstance(modulus, int) and modulus >= 2, "modulus must be an int >= 2")
+    _require(_is_int(modulus) and modulus >= 2, "modulus must be an int >= 2")
     name = doc.get("name", "")
+    margin = doc.get("margin")
+    _require(margin is None or _is_int(margin), "margin must be an int")
     if kind == "explicit":
         axis = doc.get("axis")
-        _require(isinstance(axis, int) and axis >= 1, "axis must be an int >= 1")
+        _require(_is_int(axis) and axis >= 1, "axis must be an int >= 1")
         widths = doc.get("widths", [1] * axis)
         widths = _int_list(widths, "widths must be a list of ints")
         _require(len(widths) == axis, "widths must have one entry per time")
@@ -78,11 +85,11 @@ def loads(text: str) -> LoadedCode:
                      f"generator length {len(row)} != total dimension {layout.total_dim}")
             rows.append(row)
         return LoadedCode(GroupCode.from_generators(layout, rows),
-                          "explicit", name, None, doc.get("margin"))
+                          "explicit", name, None, margin)
     width = doc.get("width")
-    _require(isinstance(width, int) and width >= 1, "width must be an int >= 1")
+    _require(_is_int(width) and width >= 1, "width must be an int >= 1")
     axis = doc.get("window")
-    _require(isinstance(axis, int) and axis >= 1, "window must be an int >= 1")
+    _require(_is_int(axis) and axis >= 1, "window must be an int >= 1")
 
     def tap_families(key: str):
         fams = doc.get(key, [])
@@ -96,7 +103,6 @@ def loads(text: str) -> LoadedCode:
 
     spec = ConvSpec(modulus, width, generators=tap_families("generators"),
                     patterns=tap_families("patterns"), name=name)
-    margin = doc.get("margin")
     wc = window(spec, axis, margin)
     return LoadedCode(wc.code, "convolutional", name, spec, wc.margin)
 
@@ -166,7 +172,7 @@ def load_word(path: str | Path, expect_len: int, modulus: int) -> list[int]:
             raise SpecFileError(f"cannot parse word file {path}: {e}") from e
     if isinstance(data, dict) and "word" in data:
         data = data["word"]
-    _require(isinstance(data, list) and all(isinstance(v, int) for v in data),
+    _require(isinstance(data, list) and all(_is_int(v) for v in data),
              "word must be a list of ints")
     _require(len(data) == expect_len,
              f"word length {len(data)} != expected {expect_len}")

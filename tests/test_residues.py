@@ -276,3 +276,95 @@ def test_large_modulus_stays_exact():
     assert R.orthogonal(o) == h
     assert R.quotient_invariants(Subgroup.full(M, 1),
                                  S(M, [(1 << 20,)])) == (1 << 20,)
+
+
+# --- the int-row kernel against the numpy reference ----------------------------
+
+def _numpy_howell_form(modulus, rows):
+    """The vectorised Howell kernel the int-row kernel replaced, kept as its
+    reference: same elimination order, whole numpy rows."""
+    M = modulus
+    dtype = R.entry_dtype(M)
+    n = rows.shape[1]
+    work = [r.astype(dtype) % M for r in rows if (r % M).any()]
+    pivots = []
+    result = []
+    for col in range(n):
+        hits = [r for r in work if r[col]]
+        rest = [r for r in work if not r[col]]
+        if not hits:
+            work = rest
+            continue
+        pivot_row = hits[0]
+        for r in hits[1:]:
+            g, s, t, u, v = R._gcdex(int(pivot_row[col]), int(r[col]))
+            pivot_row, residual = ((s * pivot_row + t * r) % M,
+                                   (u * pivot_row + v * r) % M)
+            if residual.any():
+                rest.append(residual)
+        d, unit = R._unit_lifting(int(pivot_row[col]), M)
+        pivot_row = (unit * pivot_row) % M
+        extra = ((M // d) * pivot_row) % M
+        if extra.any():
+            rest.append(extra)
+        result.append(pivot_row)
+        pivots.append((col, d))
+        work = rest
+    for i in range(len(result) - 2, -1, -1):
+        for j in range(i + 1, len(result)):
+            col, d = pivots[j]
+            q = int(result[i][col]) // d
+            if q:
+                result[i] = (result[i] - q * result[j]) % M
+    if not result:
+        return np.zeros((0, n), dtype=dtype)
+    return np.array(result, dtype=dtype)
+
+
+def _numpy_reduce(h, v):
+    """Greedy coset reduction on whole numpy rows, as the reference."""
+    M = h.modulus
+    r = np.asarray(v, dtype=R.entry_dtype(M)) % M
+    for row in h.basis:
+        col = int(np.argmax(row != 0))
+        q = int(r[col]) // int(row[col])
+        if q:
+            r = (r - q * row) % M
+    return r
+
+
+KERNEL_MODULI = (2, 3, 4, 6, 8, 9, 12, 36, 2**31 - 1, 2**31 + 11, 2**40,
+                 2**64 + 13, 2**70)
+
+
+def _biased_entry(rng, M, divisors):
+    pick = rng.random()
+    if pick < 0.35:
+        return 0
+    if pick < 0.5:
+        return rng.choice((1, M - 1))
+    if pick < 0.75:
+        return rng.choice(divisors) * rng.choice((1, M - 1, rng.randrange(M)))
+    return rng.randrange(-M, 2 * M)
+
+
+def test_howell_kernel_matches_numpy_reference():
+    rng = random.Random(20040)
+    for M in KERNEL_MODULI:
+        divisors = [d for d in (2, 3, 4, 6, 8, 9, 12, 1 << 20, 1 << 35, 1 << 64)
+                    if M % d == 0 and d < M] or [1]
+        dtype = R.entry_dtype(M)
+        for _ in range(80):
+            r, n = rng.randint(0, 9), rng.randint(1, 12)
+            mat = np.array([[_biased_entry(rng, M, divisors) for _ in range(n)]
+                            for _ in range(r)], dtype=dtype).reshape(r, n)
+            got = R.howell_form(M, mat)
+            want = _numpy_howell_form(M, mat)
+            assert got.dtype == want.dtype and got.shape == want.shape, (M, mat)
+            assert got.tolist() == want.tolist(), (M, mat)
+            h = Subgroup(M, got, n, _canonical=True)
+            for _ in range(3):
+                v = [_biased_entry(rng, M, divisors) for _ in range(n)]
+                red = h.reduce(v)
+                assert red.dtype == dtype
+                assert red.tolist() == _numpy_reduce(h, v).tolist(), (M, mat, v)

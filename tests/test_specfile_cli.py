@@ -149,3 +149,37 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file):
     big.write_text(specfile.dumps_convolutional(catalog.rate_one_third_z4(), 12))
     assert main(["oracle", str(big), "--quantity", "order", "--cap", "100"]) == 3
     capsys.readouterr()
+
+
+def test_json_booleans_are_not_ints(tmp_path, capsys, rate13_file):
+    """JSON true/false load as Python bools, a subclass of int: every field
+    that expects an int rejects them, naming the field, with exit 2."""
+    conv = {"format_version": 1, "kind": "convolutional", "modulus": 4,
+            "width": 1, "generators": [[[1], [1]]], "window": 6}
+    expl = {"format_version": 1, "kind": "explicit", "modulus": 4,
+            "axis": 2, "widths": [1, 1], "generators": [[1, 1]]}
+    cases = [
+        ({**conv, "window": True}, "window"),
+        ({**conv, "width": True}, "width"),
+        ({**conv, "generators": [[[True], [1]]]}, "generators"),
+        ({**conv, "patterns": [[[False]]]}, "patterns"),
+        ({**conv, "margin": True}, "margin"),
+        ({**conv, "modulus": True}, "modulus"),
+        ({**expl, "axis": True, "widths": [1]}, "axis"),
+        ({**expl, "widths": [True, 1]}, "widths"),
+        ({**expl, "generators": [[True, 1]]}, "generator"),
+    ]
+    for doc, field in cases:
+        p = tmp_path / "bool.code"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(specfile.SpecFileError, match=field):
+            specfile.loads(p.read_text())
+        assert main(["analyze", str(p)]) == 2
+        assert field in capsys.readouterr().err
+
+    n = specfile.load(rate13_file).code.layout.total_dim
+    wf = tmp_path / "word.json"
+    wf.write_text(json.dumps([True] + [0] * (n - 1)))
+    assert main(["syndrome", rate13_file, "--word", str(wf)]) == 2
+    captured = capsys.readouterr()
+    assert "word" in captured.err and captured.out == ""
