@@ -12,7 +12,6 @@ These are the standard worked examples of the dual-code literature over Z_4:
 
 from __future__ import annotations
 
-from .codes import GroupCode
 from .convolutional import ConvSpec, WindowedCode, window
 
 
@@ -53,11 +52,3 @@ def rate_one_third_window(axis_len: int = 12) -> WindowedCode:
 def periodic_pairs_window(axis_len: int = 8) -> WindowedCode:
     return window(periodic_pairs_z4(), axis_len, margin=2)
 
-
-def standard_fixtures() -> dict[str, GroupCode]:
-    """The three acceptance fixtures at their standard axis lengths."""
-    return {
-        "repetition-z4-n6": repetition_window().code,
-        "rate-1/3-z4-n12": rate_one_third_window().code,
-        "periodic-pairs-z4-n8": periodic_pairs_window().code,
-    }

@@ -3,14 +3,20 @@
 All quantities are quotients of subgroups built from shortening and
 restriction, evaluated exactly:
 
-* state spaces at a cut, computed four ways (two-sided, both one-sided,
-  reciprocal), which must agree;
+* the state space at a cut, C / (C_{:J} + C_{:I-J});
 * j-controllable subcodes and j-observable supercodes;
 * controller granules Gamma and observer granules Phi, including end-around
   granules on intervals that wrap past the ends of the axis;
-* the interval controllability/observability tests (both characterizations,
-  cross-asserted), their indices, and the first/last-output chains with their
-  syndrome groups.
+* the interval controllability/observability tests, their indices, and the
+  first/last-output chains with their syndrome groups.
+
+Each number has one route, its cheapest exact one; the observable supercode,
+for one, is read off the dual as ((C^perp)_j)^perp.  The definitions that the
+theorems equate with those routes are kept for the theorem battery:
+``state_space_routes`` (all four state spaces), ``controllability_tests`` and
+``observability_tests`` (both characterizations of each interval test) and
+``window_supercode`` (C^j as an intersection of window lifts).  Only the
+``*_check`` helpers, ``verify`` and tests call them.
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
 axis, index searches take an ``interior_margin`` so windowed convolutional
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .spaces import Interval, TimeSubset
 
 
 class InternalInconsistency(Exception):
-    """Two provably equivalent computations disagreed; indicates a bug."""
+    """A machine's own consistency check failed; indicates a bug."""
 
 
 Invariants = tuple[int, ...]
@@ -47,45 +54,44 @@ Invariants = tuple[int, ...]
 
 @dataclass(frozen=True)
 class StateSpaceReport:
-    """The four state-space computations at one cut; all must coincide."""
+    """The minimal state space at one cut, as invariant factors."""
 
     cut_times: TimeSubset
-    two_sided: Invariants
-    one_sided_past: Invariants
-    one_sided_future: Invariants
-    reciprocal: Invariants
-
-    def __post_init__(self):
-        if not (self.two_sided == self.one_sided_past
-                == self.one_sided_future == self.reciprocal):
-            raise InternalInconsistency(
-                f"state space computations disagree: {self}")
-
-    @property
-    def invariants(self) -> Invariants:
-        return self.two_sided
+    invariants: Invariants
 
     @property
     def order(self) -> int:
-        return residues.group_order(self.two_sided)
+        return residues.group_order(self.invariants)
 
 
 def state_space(code: GroupCode, times: TimeSubset) -> StateSpaceReport:
-    """Minimal state space across the cut {J, I-J}, all four ways."""
+    """Minimal state space across the cut {J, I-J}: C / (C_{:J} + C_{:I-J})."""
     ts = code.layout.subset(times)
     comp = code.layout.complement(ts)
     if not ts or not comp:
         raise ValueError("state space needs a proper nonempty cut")
-    past_sub = shorten(code, ts)
-    future_sub = shorten(code, comp)
-    two_sided = quotient_invariants(
-        code.carrier, residues.add(past_sub.carrier, future_sub.carrier))
-    one_past = quotient_invariants(
-        restriction(code, ts).carrier, restricted_subcode(code, ts).carrier)
-    one_future = quotient_invariants(
-        restriction(code, comp).carrier, restricted_subcode(code, comp).carrier)
-    reciprocal = quotient_invariants(cut_product(code, ts).carrier, code.carrier)
-    return StateSpaceReport(ts, two_sided, one_past, one_future, reciprocal)
+    return StateSpaceReport(ts, quotient_invariants(
+        code.carrier, residues.add(shorten(code, ts).carrier,
+                                   shorten(code, comp).carrier)))
+
+
+def state_space_routes(code: GroupCode, times: TimeSubset) -> dict[str, Invariants]:
+    """The four state-space definitions at one cut, which the theorems equate.
+
+    ``two_sided`` is ``state_space``'s; the one-sided ones are C_{|J} / C_{|:J}
+    and C_{|I-J} / C_{|:I-J}, and ``reciprocal`` is (C_{|J} x C_{|I-J}) / C.
+    """
+    two_sided = state_space(code, times).invariants  # rejects improper cuts
+    ts = code.layout.subset(times)
+    comp = code.layout.complement(ts)
+    return {
+        "two_sided": two_sided,
+        "one_sided_past": quotient_invariants(
+            restriction(code, ts).carrier, restricted_subcode(code, ts).carrier),
+        "one_sided_future": quotient_invariants(
+            restriction(code, comp).carrier, restricted_subcode(code, comp).carrier),
+        "reciprocal": quotient_invariants(cut_product(code, ts).carrier, code.carrier),
+    }
 
 
 def state_at(code: GroupCode, k: int) -> StateSpaceReport:
@@ -124,7 +130,16 @@ def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
 
 @lru_cache(maxsize=4096)
 def observable_supercode(code: GroupCode, level: int) -> GroupCode:
-    """C^j: all words that look like codewords through every length-(j+1) window."""
+    """C^j: all words that look like codewords through every length-(j+1) window.
+
+    Read off the dual as ((C^perp)_j)^perp; ``window_supercode`` is the
+    definition.
+    """
+    return dual(controllable_subcode(dual(code), level))
+
+
+def window_supercode(code: GroupCode, level: int) -> GroupCode:
+    """C^j by definition: the intersection of the lifts of every window."""
     if level < 0:
         raise ValueError("level must be >= 0")
     n = code.layout.axis_len
@@ -136,8 +151,8 @@ def observable_supercode(code: GroupCode, level: int) -> GroupCode:
 
 
 def subcode_supercode_duality_check(code: GroupCode, level: int) -> bool:
-    """(C^perp)^j == (C_j)^perp."""
-    return code_equal(observable_supercode(dual(code), level),
+    """(C^perp)^j == (C_j)^perp, with (C^perp)^j by its definition."""
+    return code_equal(window_supercode(dual(code), level),
                       dual(controllable_subcode(code, level)))
 
 
@@ -171,13 +186,18 @@ def end_around_controller_granule(code: GroupCode, interval: Interval) -> Invari
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
     """Phi_{[k, k+level]}: supercode restrictions quotient on the window;
     level 0 is the symbol group modulo the code's output group at k."""
+    return _supercode_granule(code, k, level, observable_supercode)
+
+
+def _supercode_granule(code: GroupCode, k: int, level: int, supercode) -> Invariants:
+    """C^{j-1}_{|W} / C^j_{|W} on the window W = [k, k+j], with C^j = supercode(code, j)."""
     _check_interval(code, k, level)
     window = code.layout.interval(k, k + level)
     if level == 0:
         num = Subgroup.full(code.layout.modulus, code.layout.widths[k])
     else:
-        num = restriction(observable_supercode(code, level - 1), window).carrier
-    den = restriction(observable_supercode(code, level), window).carrier
+        num = restriction(supercode(code, level - 1), window).carrier
+    den = restriction(supercode(code, level), window).carrier
     return quotient_invariants(num, den)
 
 
@@ -203,8 +223,10 @@ def _check_interval(code: GroupCode, k: int, level: int) -> None:
 
 def granule_duality_check(code: GroupCode, k: int, level: int) -> bool:
     """Phi_{[k,k+j]}(C) acts as the character group of Gamma_{[k,k+j]}(C^perp):
-    as finite abelian groups they share invariant factors."""
-    return observer_granule(code, k, level) == controller_granule(dual(code), k, level)
+    as finite abelian groups they share invariant factors.  Phi is taken
+    from the window-lift definition of C^j."""
+    return (_supercode_granule(code, k, level, window_supercode)
+            == controller_granule(dual(code), k, level))
 
 
 def end_around_check(code: GroupCode, m: int, n: int) -> bool:
@@ -254,104 +276,86 @@ def granule_table(code: GroupCode, times=None, max_level: int | None = None,
 def state_order_from_controller_granules(code: GroupCode, k: int) -> int:
     """Product of the orders of the controller granules active at cut k:
     all in-range intervals straddling the boundary between k-1 and k."""
-    n = code.layout.axis_len
-    total = 1
-    for a in range(0, k):
-        for b in range(k, n):
-            total *= residues.group_order(controller_granule(code, a, b - a))
-    return total
+    return prod(residues.group_order(controller_granule(code, a, b - a))
+                for a in range(0, k) for b in range(k, code.layout.axis_len))
 
 
 def state_order_from_observer_granules(code: GroupCode, k: int) -> int:
-    n = code.layout.axis_len
-    total = 1
-    for a in range(0, k):
-        for b in range(k, n):
-            total *= residues.group_order(observer_granule(code, a, b - a))
-    return total
+    return prod(residues.group_order(observer_granule(code, a, b - a))
+                for a in range(0, k) for b in range(k, code.layout.axis_len))
 
 
 # ---------------------------------------------------------------------------
 # interval controllability / observability
 
 
-def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
-    """Both [m, n)-controllability characterizations, separately.
-
-    ``puncture_product``: the restriction off [m, n) splits as past x future.
-    ``shortened_sum``: the code is generated by its before-n and after-m
-    subcodes.
-    """
-    N = code.layout.axis_len
-    if not 0 <= m < n <= N:
-        raise ValueError("need 0 <= m < n <= N")
-    past = code.layout.subset(range(0, m))
-    future = code.layout.subset(range(n, N))
-    rest = past | future
-    if rest:
-        lhs = restriction(code, rest)
-        first = code_equal(lhs, cut_product(lhs, range(len(past))))
-    else:
-        first = True
-    second = code_equal(code, code_sum(shorten(code, code.layout.subset(range(0, n))),
-                                       shorten(code, code.layout.subset(range(m, N)))))
-    return {"puncture_product": first, "shortened_sum": second}
+def _shortened_sum(code: GroupCode, m: int, n: int) -> bool:
+    """C == C_{:[0,n)} + C_{:[m,N)}."""
+    layout = code.layout
+    return code_equal(code, code_sum(shorten(code, layout.subset(range(0, n))),
+                                     shorten(code, layout.subset(range(m, layout.axis_len)))))
 
 
 def controllable_on(code: GroupCode, m: int, n: int) -> bool:
     """[m, n)-controllability: any past before m links to any future from n.
 
-    Evaluates both characterizations and insists they agree.
+    The code is generated by its before-n and after-m subcodes.
     """
-    tests = controllability_tests(code, m, n)
-    first, second = tests["puncture_product"], tests["shortened_sum"]
-    if first != second:
-        raise InternalInconsistency(
-            f"controllability tests disagree on [{m}, {n}): {tests}")
-    return first
-
-
-def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
-    """Both [m, n)-observability characterizations, separately.
-
-    ``window_lift``: words that look like code before n and after m are code.
-    ``shortened_product``: the off-window subcode splits as past x future.
-    """
-    N = code.layout.axis_len
-    if not 0 <= m < n <= N:
+    if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
-    before = code.layout.subset(range(0, n))
-    after = code.layout.subset(range(m, N))
-    first = code_equal(code, code_intersect(lift_restriction(code, before),
-                                            lift_restriction(code, after)))
-    outside = code.layout.complement(code.layout.subset(range(m, n)))
-    second = code_equal(
-        shorten(code, outside),
-        code_sum(shorten(code, code.layout.subset(range(0, m))),
-                 shorten(code, code.layout.subset(range(n, N)))))
-    return {"window_lift": first, "shortened_product": second}
+    return _shortened_sum(code, m, n)
+
+
+def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
+    """Both [m, n)-controllability characterizations, separately.
+
+    ``puncture_product`` (the definition): the restriction off [m, n) splits
+    as past x future.  ``shortened_sum`` is ``controllable_on``'s.
+    """
+    shortened_sum = controllable_on(code, m, n)
+    past = code.layout.subset(range(0, m))
+    rest = past | code.layout.subset(range(n, code.layout.axis_len))
+    if rest:
+        lhs = restriction(code, rest)
+        puncture_product = code_equal(lhs, cut_product(lhs, range(len(past))))
+    else:
+        puncture_product = True
+    return {"puncture_product": puncture_product, "shortened_sum": shortened_sum}
 
 
 def observable_on(code: GroupCode, m: int, n: int) -> bool:
     """[m, n)-observability: a length-(n-m) window pins the state down.
 
-    Evaluates both characterizations and insists they agree.
+    The off-window subcode splits as past x future.
     """
-    tests = observability_tests(code, m, n)
-    first, second = tests["window_lift"], tests["shortened_product"]
-    if first != second:
-        raise InternalInconsistency(
-            f"observability tests disagree on [{m}, {n}): {tests}")
-    return first
+    if not 0 <= m < n <= code.layout.axis_len:
+        raise ValueError("need 0 <= m < n <= N")
+    layout = code.layout
+    outside = layout.complement(layout.subset(range(m, n)))
+    return code_equal(
+        shorten(code, outside),
+        code_sum(shorten(code, layout.subset(range(0, m))),
+                 shorten(code, layout.subset(range(n, layout.axis_len)))))
+
+
+def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
+    """Both [m, n)-observability characterizations, separately.
+
+    ``window_lift`` (the definition): words that look like code before n and
+    after m are code.  ``shortened_product`` is ``observable_on``'s.
+    """
+    shortened_product = observable_on(code, m, n)
+    window_lift = code_equal(code, code_intersect(
+        lift_restriction(code, code.layout.subset(range(0, n))),
+        lift_restriction(code, code.layout.subset(range(m, code.layout.axis_len)))))
+    return {"window_lift": window_lift, "shortened_product": shortened_product}
 
 
 def memoryless_at(code: GroupCode, m: int) -> bool:
     """Zero-memory cut test at m: C == C_{:m-} + C_{:m+}."""
-    N = code.layout.axis_len
-    if not 0 <= m <= N:
+    if not 0 <= m <= code.layout.axis_len:
         raise ValueError("cut out of range")
-    return code_equal(code, code_sum(shorten(code, code.layout.subset(range(0, m))),
-                                     shorten(code, code.layout.subset(range(m, N)))))
+    return _shortened_sum(code, m, m)
 
 
 def _index_search(code: GroupCode, interior_margin: int, interval_test) -> int | None:

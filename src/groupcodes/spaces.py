@@ -12,7 +12,8 @@ convenience layer that resolves to a set immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import FrozenSet, Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ class SymbolLayout:
 
     modulus: int
     widths: tuple[int, ...]
+    # starts[k] is the first coordinate of block k; starts[N] is total_dim
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         residues.check_modulus(self.modulus)
@@ -37,6 +40,7 @@ class SymbolLayout:
         if any(w < 1 for w in self.widths):
             raise ValueError("every symbol width must be >= 1")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "starts", tuple(accumulate(self.widths, initial=0)))
 
     @classmethod
     def uniform(cls, modulus: int, axis_len: int, width: int = 1) -> "SymbolLayout":
@@ -48,16 +52,15 @@ class SymbolLayout:
 
     @property
     def total_dim(self) -> int:
-        return sum(self.widths)
+        return self.starts[-1]
 
     def block_start(self, k: int) -> int:
-        return sum(self.widths[:k])
+        return self.starts[k]
 
     def block(self, k: int) -> range:
         if not 0 <= k < self.axis_len:
             raise ValueError(f"time {k} outside axis of length {self.axis_len}")
-        s = self.block_start(k)
-        return range(s, s + self.widths[k])
+        return range(self.starts[k], self.starts[k + 1])
 
     def times(self) -> range:
         return range(self.axis_len)
@@ -66,10 +69,10 @@ class SymbolLayout:
         return frozenset(self.times())
 
     def subset(self, times: Iterable[int]) -> TimeSubset:
-        ts = frozenset(int(t) for t in times)
-        bad = [t for t in ts if not 0 <= t < self.axis_len]
-        if bad:
-            raise ValueError(f"times {sorted(bad)} outside axis of length {self.axis_len}")
+        ts = times if isinstance(times, frozenset) else frozenset(int(t) for t in times)
+        if ts and (min(ts) < 0 or max(ts) >= self.axis_len):
+            bad = sorted(t for t in ts if not 0 <= t < self.axis_len)
+            raise ValueError(f"times {bad} outside axis of length {self.axis_len}")
         return ts
 
     def complement(self, times: Iterable[int]) -> TimeSubset:
@@ -81,9 +84,10 @@ class SymbolLayout:
 
     def coords(self, times: Iterable[int]) -> list[int]:
         """Sorted coordinate indices covering exactly the blocks of ``times``."""
+        starts = self.starts
         out: list[int] = []
         for t in sorted(self.subset(times)):
-            out.extend(self.block(t))
+            out.extend(range(starts[t], starts[t + 1]))
         return out
 
     def restricted(self, times: Iterable[int]) -> "SymbolLayout":
@@ -96,7 +100,7 @@ class SymbolLayout:
         w = np.asarray(word, dtype=residues.entry_dtype(self.modulus)) % self.modulus
         if w.shape != (self.total_dim,):
             raise ValueError(f"expected a word of length {self.total_dim}")
-        return [tuple(int(x) for x in w[self.block_start(k):self.block_start(k) + self.widths[k]])
+        return [tuple(int(x) for x in w[self.starts[k]:self.starts[k + 1]])
                 for k in self.times()]
 
 

@@ -206,9 +206,9 @@ def test_end_around_two_partition_reduces_to_state_isomorphism():
     for _ in range(8):
         c = random_code(rng, 4, 2, width=2)
         gamma = dyn.end_around_controller_granule(c, Interval(1, 0, wraparound=True))
-        report = dyn.state_space(c, c.layout.subset({0}))
-        assert gamma == report.invariants
-        assert dyn.observer_granule(c, 0, 1) == report.reciprocal
+        routes = dyn.state_space_routes(c, c.layout.subset({0}))
+        assert gamma == routes["two_sided"]
+        assert dyn.observer_granule(c, 0, 1) == routes["reciprocal"]
         assert dyn.end_around_check(c, 0, 1)
 
 

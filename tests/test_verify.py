@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from groupcodes import dynamics as dyn
 from groupcodes import residues as R
 from groupcodes import verify
 from groupcodes.residues import Subgroup
@@ -60,3 +61,63 @@ def test_subgroup_laws_at_large_modulus():
         a = R.add(h, h2)
         assert R.quotient_invariants(a, h) == \
             R.quotient_invariants(R.orthogonal(h), R.orthogonal(a))
+
+
+def _rotated(code, times):
+    n = code.layout.axis_len
+    return frozenset((t + 1) % n for t in times)
+
+
+def _planted_faults():
+    """(route, off-by-one replacement, check that must catch it) for every
+    library route and every definitional route the battery compares."""
+    ss, routes, ctrl, obs, sup, ctests, otests, win = (
+        dyn.state_space, dyn.state_space_routes, dyn.controllable_on,
+        dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
+        dyn.observability_tests, dyn.window_supercode)
+
+    def bad_routes(code, times):  # reciprocal state space at the next cut
+        out = routes(code, times)
+        out["reciprocal"] = routes(code, _rotated(code, times))["reciprocal"]
+        return out
+
+    def bad_puncture(code, m, n):  # puncture product one time too late
+        out = ctests(code, m, n)
+        out["puncture_product"] = ctests(
+            code, m, min(n + 1, code.layout.axis_len))["puncture_product"]
+        return out
+
+    def bad_window_lift(code, m, n):  # window lift one time too early
+        out = otests(code, m, n)
+        out["window_lift"] = otests(code, max(m - 1, 0), n)["window_lift"]
+        return out
+
+    return [
+        ("state_space", lambda code, times: ss(code, _rotated(code, times)),
+         "state-space-four-way"),
+        ("controllable_on",
+         lambda code, m, n: ctrl(code, m, min(n + 1, code.layout.axis_len)),
+         "interval-test-equivalence"),
+        ("observable_on", lambda code, m, n: obs(code, max(m - 1, 0), n),
+         "interval-test-equivalence"),
+        ("observable_supercode", lambda code, j: sup(code, j + 1),
+         "granule-factorization"),
+        ("state_space_routes", bad_routes, "state-space-four-way"),
+        ("controllability_tests", bad_puncture, "interval-test-equivalence"),
+        ("observability_tests", bad_window_lift, "interval-test-equivalence"),
+        ("window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
+    ]
+
+
+def test_battery_catches_planted_route_faults(monkeypatch):
+    # every check must compare two independent routes: an off-by-one fault in
+    # either the library route or the definitional one has to show up
+    faults = _planted_faults()
+    checks = {check: verify.ALL_CHECKS[check] for _, _, check in faults}
+    trials = dict(seed=1, trials=60, moduli=(2, 3, 4, 6, 8, 9))
+    assert verify.run_trials(**trials, checks=checks).ok
+    for route, fault, check in faults:
+        monkeypatch.setattr(dyn, route, fault)
+        s = verify.run_trials(**trials, checks={check: checks[check]})
+        monkeypatch.undo()
+        assert any(f.theorem == check for f in s.failures), route
