@@ -144,14 +144,14 @@ def cmd_encode(args) -> int:
     word, trace = enc.encode(inputs)
     payload = {
         "format_version": specfile.FORMAT_VERSION,
-        "codeword": [int(x) for x in word],
+        "codeword": word.tolist(),
         "symbols": [list(s) for s in loaded.code.layout.split_symbols(word)],
         "trace": trace.to_dict(),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print("codeword:", " ".join(str(int(x)) for x in word))
+        print("codeword:", " ".join(map(str, word)))
         for step in trace.steps:
             print(f"  t={step.time} state={step.state} input={step.inp} "
                   f"symbol={step.symbol}")

@@ -132,7 +132,7 @@ def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
     rows = residues.zero_block_span(
         c.layout.modulus, c.carrier.basis[:, outside + inside], len(outside))
     # ``inside`` is sorted, so putting back the zero columns keeps the form canonical
-    full = np.zeros((len(rows), c.layout.total_dim), dtype=rows.dtype)
+    full = np.zeros((len(rows), c.layout.total_dim), dtype=object)
     full[:, inside] = rows
     return GroupCode(c.layout, Subgroup(c.layout.modulus, full, c.layout.total_dim,
                                         _canonical=True))
@@ -150,7 +150,7 @@ def lift_restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
     """{w in W : w_{|J} in C_{|J}} = C + W_{I-J}, on the full layout."""
     n = c.layout.total_dim
     outside = c.layout.coords(c.layout.complement(times))
-    free = np.eye(n, dtype=c.carrier.basis.dtype)[outside]
+    free = np.eye(n, dtype=object)[outside]
     return GroupCode(c.layout, Subgroup(c.layout.modulus,
                                         np.vstack([c.carrier.basis, free]), n))
 
@@ -187,7 +187,7 @@ def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
     b, db = c.carrier.basis, d.carrier.basis
     lead = b[:, c.layout.coords(comp)]
     mat = np.vstack([np.hstack([lead, b]),
-                     np.hstack([db, np.zeros((len(db), b.shape[1]), dtype=b.dtype)])])
+                     np.hstack([db, np.zeros((len(db), b.shape[1]), dtype=object)])])
     return GroupCode(c.layout, Subgroup(
         c.layout.modulus, residues.zero_block_span(c.layout.modulus, mat, lead.shape[1]),
         c.layout.total_dim, _canonical=True))

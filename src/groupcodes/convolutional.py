@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import dynamics, residues
 from .codes import GroupCode, restriction
 from .spaces import SymbolLayout
@@ -99,22 +97,16 @@ def window(spec: ConvSpec, axis_len: int, margin: int | None = None) -> Windowed
         raise ValueError(
             f"axis of length {axis_len} cannot hold a generator of degree {spec.max_degree}")
     layout = SymbolLayout.uniform(spec.modulus, axis_len, spec.width)
-    dtype = residues.entry_dtype(spec.modulus)
     rows = []
     for g in spec.generators:
         deg = spec.degree(g)
-        for shift in range(0, axis_len - deg):
-            row = np.zeros(layout.total_dim, dtype=dtype)
-            for d, sym in enumerate(g):
-                start = (shift + d) * spec.width
-                row[start:start + spec.width] = sym
+        taps = [x for sym in g[:deg + 1] for x in sym]
+        for start in range(0, (axis_len - deg) * spec.width, spec.width):
+            row = [0] * layout.total_dim
+            row[start:start + len(taps)] = taps
             rows.append(row)
     for p in spec.patterns:
-        row = np.zeros(layout.total_dim, dtype=dtype)
-        for k in range(axis_len):
-            sym = p[k % len(p)]
-            row[k * spec.width:(k + 1) * spec.width] = sym
-        rows.append(row)
+        rows.append([x for k in range(axis_len) for x in p[k % len(p)]])
     code = GroupCode.from_generators(layout, rows)
     return WindowedCode(spec, axis_len,
                         code, spec.default_margin if margin is None else margin)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 from random import Random
 from typing import Sequence
 
@@ -87,7 +88,6 @@ class _Section:
     def __init__(self, carrier: Subgroup, idx: list[int]):
         self.modulus = carrier.modulus
         self.ambient = carrier.ambient
-        self.dtype = residues.entry_dtype(carrier.modulus)
         self.idx = idx
         rest = [j for j in range(carrier.ambient) if j not in set(idx)]
         perm = idx + rest
@@ -108,20 +108,17 @@ class _Section:
                     full[c] = x
                 self.lifts.append(full)
 
-    def lift(self, target: Sequence[int]) -> np.ndarray | None:
+    def lift(self, target: Sequence[int]) -> list[int] | None:
         """A full-length element of the subgroup restricting to ``target``."""
         M = self.modulus
-        r = np.asarray(target, dtype=self.dtype) % M
-        if r.shape != (len(self.idx),):
-            raise ValueError("target length does not match the selection")
-        r = r.tolist()
+        r = residues.as_residue_vector(M, target, len(self.idx))
         out = [0] * self.ambient
         for row, (col, d), full in zip(self.front_rows, self.front_pivots, self.lifts):
             q = r[col] // d
             if q:
                 r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row)]
                 out = [(a + q * b) % M for a, b in zip(out, full)]
-        return None if any(r) else np.array(out, dtype=self.dtype)
+        return None if any(r) else out
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -135,9 +132,9 @@ def machine_memory(code: GroupCode) -> int:
 class StateObserver:
     """Sliding-window map from recent output symbols to minimal-state labels."""
 
-    def __init__(self, code: GroupCode, memory: int | None = None):
+    def __init__(self, code: GroupCode):
         self.code = code
-        self.memory = machine_memory(code) if memory is None else memory
+        self.memory = machine_memory(code)
         layout = code.layout
         n = layout.axis_len
         # label reducers: the two-sided shortened subgroup at each cut
@@ -157,7 +154,7 @@ class StateObserver:
         """Label of the state of a full codeword at cut k."""
         if not self.code.contains(word):
             raise WindowNotInRestriction("word is not a codeword")
-        return tuple(int(x) for x in self._denoms[k].reduce(word))
+        return tuple(self._denoms[k].reduce(word))
 
     def observe(self, window: Sequence[int], k: int) -> Vec:
         """Label computed from the last ``memory`` symbols before cut k."""
@@ -169,27 +166,24 @@ class StateObserver:
         if lifted is None:
             raise WindowNotInRestriction(
                 f"window is not in the code's restriction to times {times}")
-        return tuple(int(x) for x in self._denoms[k].reduce(lifted))
+        return tuple(self._denoms[k].reduce(lifted))
 
 
 class ObserverEncoder:
     """Minimal observer-form encoder: free inputs from F_k, window memory L."""
 
-    def __init__(self, code: GroupCode, memory: int | None = None):
+    def __init__(self, code: GroupCode):
         self.code = code
-        self.memory = machine_memory(code) if memory is None else memory
-        self.observer = StateObserver(code, self.memory)
-        self._dtype = residues.entry_dtype(code.layout.modulus)
+        self.observer = StateObserver(code)
+        self.memory = self.observer.memory
         layout = code.layout
         n = layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
-        self._window_codes: list[GroupCode] = []
         self._zero_extension: list[Subgroup] = []
         self._prefix_sections: list[_Section | None] = []
         for k in range(n):
             times = list(range(max(0, k - self.memory), k + 1))
             wcode = restriction(code, layout.subset(times))
-            self._window_codes.append(wcode)
             wl = wcode.layout
             last = wl.axis_len - 1
             self._zero_extension.append(
@@ -204,11 +198,12 @@ class ObserverEncoder:
     def random_inputs(self, rng: Random) -> list[Vec]:
         out = []
         for g in self.input_groups:
-            coeffs = [rng.randrange(g.modulus) for _ in range(g.num_generators)]
-            v = np.zeros(g.ambient, dtype=self._dtype)
-            for c, row in zip(coeffs, g.basis):
-                v = (v + c * row) % g.modulus
-            out.append(tuple(int(x) for x in v))
+            M = g.modulus
+            coeffs = [rng.randrange(M) for _ in range(g.num_generators)]
+            v = [0] * g.ambient
+            for c, row in zip(coeffs, g.basis.tolist()):
+                v = [(a + c * b) % M for a, b in zip(v, row)]
+            out.append(tuple(v))
         return out
 
     def encode(self, inputs: Sequence[Sequence[int]]) -> tuple[np.ndarray, MachineTrace]:
@@ -217,42 +212,38 @@ class ObserverEncoder:
         if len(inputs) != n:
             raise ValueError(f"need one input per time ({n})")
         M = layout.modulus
-        emitted: list[np.ndarray] = []
+        emitted: list[list[int]] = []
         trace = MachineTrace()
         for k in range(n):
-            inp = np.asarray(inputs[k], dtype=self._dtype) % M
-            if inp.shape != (layout.widths[k],):
-                raise InputNotInInputGroup(
-                    f"input at time {k} must have width {layout.widths[k]}")
+            try:
+                inp = residues.as_residue_vector(M, inputs[k], layout.widths[k])
+            except ValueError as e:
+                raise InputNotInInputGroup(f"input at time {k}: {e}") from None
             if not self.input_groups[k].contains(inp):
                 raise InputNotInInputGroup(
                     f"input {tuple(inp)} at time {k} is outside F_{k}")
             window = self._current_window(emitted, k)
             state = self.observer.observe(window, k)
             base = self._base_symbol(window, k)
-            symbol = (base + inp) % M
+            symbol = [(a + b) % M for a, b in zip(base, inp)]
             emitted.append(symbol)
-            trace.steps.append(TraceStep(time=k, state=state,
-                                         symbol=tuple(int(x) for x in symbol),
-                                         inp=tuple(int(x) for x in inp)))
-        word = np.concatenate(emitted)
+            trace.steps.append(TraceStep(time=k, state=state, symbol=tuple(symbol),
+                                         inp=tuple(inp)))
+        word = np.array([x for symbol in emitted for x in symbol], dtype=object)
         if not self.code.contains(word):
             raise dynamics.InternalInconsistency(
                 "encoder produced a word outside the code")
         return word, trace
 
-    def _current_window(self, emitted: list[np.ndarray], k: int) -> np.ndarray:
-        lo = max(0, k - self.memory)
-        if lo >= k:
-            return np.zeros(0, dtype=self._dtype)
-        return np.concatenate(emitted[lo:k])
+    def _current_window(self, emitted: list[list[int]], k: int) -> list[int]:
+        return [x for symbol in emitted[max(0, k - self.memory):k] for x in symbol]
 
-    def _base_symbol(self, window: np.ndarray, k: int) -> np.ndarray:
+    def _base_symbol(self, window: list[int], k: int) -> Sequence[int]:
         """Canonical representative of {g : (window, g) in C_{|window+k}}."""
         layout = self.code.layout
         section = self._prefix_sections[k]
         if section is None:
-            return np.zeros(layout.widths[k], dtype=self._dtype)
+            return [0] * layout.widths[k]
         lifted = section.lift(window)
         if lifted is None:
             raise dynamics.InternalInconsistency(
@@ -261,7 +252,7 @@ class ObserverEncoder:
         return self._zero_extension[k].reduce(g0)
 
 
-def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, np.ndarray]]:
+def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, list[int]]]:
     """Checks (lo, hi, row) of a dual code, shortest span first.
 
     One Howell pass per start k, with the columns of the times before k in
@@ -277,24 +268,26 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, np.ndarray]]:
     layout, carrier = dual_code.layout, dual_code.carrier
     M, n, N = layout.modulus, layout.total_dim, layout.axis_len
     basis = carrier.basis
-    ends: list[dict[int, list[np.ndarray]]] = []  # per start: rows by last time
+    ends: list[dict[int, list[list[int]]]] = []  # per start: rows by last time
     for k in range(N):
         lead = layout.coords(range(k))
         tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
         tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
-        by_end: dict[int, list[np.ndarray]] = {}
-        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)):
-            full = np.zeros(n, dtype=basis.dtype)
-            full[tail] = row
-            by_end.setdefault(tail_time[int(np.argmax(row != 0))], []).append(full)
+        by_end: dict[int, list[list[int]]] = {}
+        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)).tolist():
+            full = [0] * n
+            for c, x in zip(tail, row):
+                full[c] = x
+            pivot = next(i for i, x in enumerate(row) if x)
+            by_end.setdefault(tail_time[pivot], []).append(full)
         ends.append(by_end)
     kept = Subgroup.trivial(M, n)
-    checks: list[tuple[int, int, np.ndarray]] = []
+    checks: list[tuple[int, int, list[int]]] = []
     for j in range(N):
         for k in range(N - j):
             for row in ends[k].get(k + j, ()):
                 if not kept.contains(row):
-                    kept = Subgroup(M, np.vstack([kept.basis, row]), n)
+                    kept = Subgroup.span(M, kept.basis.tolist() + [row], n)
                     checks.append((k, k + j, row))
                     if kept == carrier:
                         return checks
@@ -308,13 +301,8 @@ class SyndromeFormer:
         self.code = code
         layout = code.layout
         self.dual_code = dual(code)
-        # np.dot sums total_dim products below M^2 each; past int64 use exact ints
-        M = layout.modulus
-        self._dtype = (np.int64 if (M - 1) ** 2 * layout.total_dim < 1 << 63
-                       else object)
-        self._spans = [(lo, hi, row.astype(self._dtype)) for lo, hi, row
-                       in _granule_checks(self.dual_code)]
-        self._rows_by_end: dict[int, list[np.ndarray]] = {k: [] for k in layout.times()}
+        self._spans = _granule_checks(self.dual_code)
+        self._rows_by_end: dict[int, list[list[int]]] = {k: [] for k in layout.times()}
         for _, hi, row in self._spans:
             self._rows_by_end[hi].append(row)
         self.memory = max((hi - lo for lo, hi, _ in self._spans), default=0)
@@ -325,21 +313,16 @@ class SyndromeFormer:
     def form(self, word: Sequence[int]) -> tuple[list[Vec], MachineTrace]:
         layout = self.code.layout
         M = layout.modulus
-        w = np.asarray(word, dtype=self._dtype) % M
-        if w.shape != (layout.total_dim,):
-            raise ValueError(f"expected a word of length {layout.total_dim}")
+        w = residues.as_residue_vector(M, word, layout.total_dim)
         trace = MachineTrace()
         syndromes: list[Vec] = []
         for k in layout.times():
-            upto = layout.block_start(k) + layout.widths[k]
-            comp = tuple(int(np.dot(row, w) % M) for row in self._rows_by_end[k])
-            partials = tuple(int(np.dot(row[:upto], w[:upto]) % M)
+            start, upto = layout.starts[k], layout.starts[k + 1]
+            comp = tuple(sum(map(mul, row, w)) % M for row in self._rows_by_end[k])
+            partials = tuple(sum(map(mul, row[:upto], w)) % M
                              for a, b, row in self._spans if a <= k < b)
-            block = layout.block(k)
-            trace.steps.append(TraceStep(
-                time=k, state=partials,
-                symbol=tuple(int(x) for x in w[list(block)]),
-                syndrome=comp))
+            trace.steps.append(TraceStep(time=k, state=partials,
+                                         symbol=tuple(w[start:upto]), syndrome=comp))
             syndromes.append(comp)
         return syndromes, trace
 
@@ -369,7 +352,6 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
         return False
     layout = code.layout
     M = layout.modulus
-    dtype = residues.entry_dtype(M)
     if prod(input_group_orders(code)) != code.order():
         return False
     for _ in range(trials):
@@ -383,14 +365,13 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
         return True  # full space: no perturbation outside the code exists
     for _ in range(trials):
         coeffs = [rng.randrange(M) for _ in range(code.carrier.num_generators)]
-        c = np.zeros(layout.total_dim, dtype=dtype)
-        for q, row in zip(coeffs, code.carrier.basis):
-            c = (c + q * row) % M
+        c = [0] * layout.total_dim
+        for q, row in zip(coeffs, code.carrier.basis.tolist()):
+            c = [(a + q * b) % M for a, b in zip(c, row)]
         while True:
-            e = np.array([rng.randrange(M) for _ in range(layout.total_dim)],
-                         dtype=dtype)
+            e = [rng.randrange(M) for _ in range(layout.total_dim)]
             if not code.contains(e):
                 break
-        if sf.is_member((c + e) % M):
+        if sf.is_member([(a + b) % M for a, b in zip(c, e)]):
             return False
     return True

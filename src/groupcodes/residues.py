@@ -16,11 +16,13 @@ leading column block span exactly the elements of the span that vanish there
 ``codes``, shortenings and conditioned codes are each one such pass; sums are
 one pass over stacked bases; quotient invariants come from ``snf``.
 
-The elimination kernel (``howell_form`` and ``Subgroup.reduce``) runs on rows
-of plain Python ints, which never overflow, so it is exact for every M
-whatever the dtype; it touches only the tail of each row from its leading
-column on.  Numpy only stores ``Subgroup.basis`` and carries the arrays that
-functions take and return, of dtype ``entry_dtype(M)``.
+Every residue is a plain Python int, which never overflows, so every M
+takes the same path and every answer is exact.  Rows from outside enter
+through ``as_residue_matrix`` or ``as_residue_vector``, which pass each entry
+through ``int``.  The elimination kernel (``howell_form`` and
+``Subgroup.reduce``) runs on int lists and touches only the tail of each row
+from its leading column on; numpy only holds ``Subgroup.basis`` and the
+arrays that functions return, always of dtype ``object``.
 """
 
 from __future__ import annotations
@@ -43,27 +45,29 @@ def check_modulus(modulus: int) -> int:
     return int(modulus)
 
 
-def entry_dtype(modulus: int):
-    # int64 products overflow at M ~ 2^31; fall back to exact object ints,
-    # which numpy propagates through mixed arithmetic
-    return np.int64 if modulus <= (1 << 31) else object
-
-
 def as_residue_matrix(modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
                       ambient: int | None = None) -> np.ndarray:
-    """Normalize ``rows`` into an (r, n) array with entries in [0, M)."""
+    """Normalize ``rows`` into an (r, n) array of Python ints in [0, M)."""
     M = check_modulus(modulus)
-    dtype = entry_dtype(M)
-    a = np.array(list(rows) if not isinstance(rows, np.ndarray) else rows,
-                 dtype=dtype)
+    a = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=object)
     if a.size == 0:
         n = ambient if ambient is not None else (a.shape[1] if a.ndim == 2 else 0)
-        return np.zeros((0, n), dtype=dtype)
+        return np.zeros((0, n), dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of residues")
     if ambient is not None and a.shape[1] != ambient:
         raise ValueError(f"expected {ambient} columns, got {a.shape[1]}")
-    return a % M
+    # int() also turns numpy scalars, which an object array keeps, into ints
+    return np.array([[int(x) % M for x in r] for r in a.tolist()], dtype=object)
+
+
+def as_residue_vector(modulus: int, v: Sequence[int] | np.ndarray,
+                      length: int) -> list[int]:
+    """Normalize one vector of ``length`` entries into Python ints in [0, M)."""
+    a = np.asarray(v, dtype=object)
+    if a.shape != (length,):
+        raise ValueError(f"expected a vector of length {length}, got shape {a.shape}")
+    return [int(x) % modulus for x in a.tolist()]
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
@@ -155,14 +159,15 @@ def howell_form(modulus: int, rows: np.ndarray) -> np.ndarray:
                 row[col - start:] = [(a - q * b) % M
                                      for a, b in zip(row[col - start:], below)]
     return np.array([[0] * col + row for col, _, row in result],
-                    dtype=entry_dtype(M)).reshape(len(result), n)
+                    dtype=object).reshape(len(result), n)
 
 
 class Subgroup:
     """A subgroup of (Z_M)^n, held as the Howell basis of its row span.
 
     Instances are immutable and canonical: two Subgroups are equal iff they
-    are the same subgroup.
+    are the same subgroup.  The constructor takes an (r, ambient) integer
+    array; ``span`` takes rows in any form.
     """
 
     __slots__ = ("modulus", "ambient", "basis", "_pivots", "_hash")
@@ -170,9 +175,9 @@ class Subgroup:
     def __init__(self, modulus: int, basis: np.ndarray, ambient: int,
                  _canonical: bool = False):
         self.modulus = check_modulus(modulus)
-        mat = as_residue_matrix(modulus, basis, ambient)
-        if not _canonical:
-            mat = howell_form(self.modulus, mat)
+        if basis.ndim != 2 or basis.shape[1] != ambient:
+            raise ValueError(f"expected an (r, {ambient}) array, got shape {basis.shape}")
+        mat = basis if _canonical else howell_form(self.modulus, basis)
         mat.setflags(write=False)
         self.ambient = ambient
         self.basis = mat
@@ -189,12 +194,12 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, modulus: int, ambient: int) -> "Subgroup":
-        return cls(modulus, np.zeros((0, ambient), dtype=entry_dtype(modulus)),
+        return cls(modulus, np.zeros((0, ambient), dtype=object),
                    ambient, _canonical=True)
 
     @classmethod
     def full(cls, modulus: int, ambient: int) -> "Subgroup":
-        return cls(modulus, np.eye(ambient, dtype=entry_dtype(modulus)), ambient,
+        return cls(modulus, np.eye(ambient, dtype=object), ambient,
                    _canonical=True)
 
     # -- basic protocol ----------------------------------------------------
@@ -209,14 +214,13 @@ class Subgroup:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            key = (self.basis.tobytes() if self.basis.dtype == np.int64
-                   else tuple(int(x) for x in self.basis.flat))
-            self._hash = hash((self.modulus, self.ambient, self.basis.shape, key))
+            self._hash = hash((self.modulus, self.ambient, self.basis.shape,
+                               tuple(self.basis.flat)))
         return self._hash
 
     def __repr__(self) -> str:
-        rows = [list(map(int, r)) for r in self.basis]
-        return f"Subgroup(mod {self.modulus}, ambient {self.ambient}, basis {rows})"
+        return (f"Subgroup(mod {self.modulus}, ambient {self.ambient}, "
+                f"basis {self.basis.tolist()})")
 
     @property
     def num_generators(self) -> int:
@@ -227,13 +231,6 @@ class Subgroup:
 
     # -- core operations ---------------------------------------------------
 
-    def _vector(self, v: Sequence[int] | np.ndarray) -> np.ndarray:
-        a = np.asarray(v, dtype=entry_dtype(self.modulus))
-        if a.shape != (self.ambient,):
-            raise ValueError(
-                f"expected a vector of length {self.ambient}, got shape {a.shape}")
-        return a % self.modulus
-
     def reduce(self, v: Sequence[int] | np.ndarray) -> np.ndarray:
         """Canonical representative of the coset ``self + v``.
 
@@ -241,12 +238,12 @@ class Subgroup:
         same representative iff they differ by an element of the subgroup.
         """
         M = self.modulus
-        r = self._vector(v).tolist()
+        r = as_residue_vector(M, v, self.ambient)
         for row, (col, d) in zip(self.basis.tolist(), self._pivots):
             q = r[col] // d
             if q:
                 r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row[col:])]
-        return np.array(r, dtype=entry_dtype(M))
+        return np.array(r, dtype=object)
 
     def contains(self, v: Sequence[int] | np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -264,7 +261,7 @@ class Subgroup:
         if self.order() > cap:
             raise OrderExceedsCap(f"subgroup order {self.order()} exceeds cap {cap}")
         M = self.modulus
-        out = np.zeros(self.ambient, dtype=entry_dtype(M))
+        out = np.zeros(self.ambient, dtype=object)
 
         def rec(i: int, acc: np.ndarray) -> Iterator[np.ndarray]:
             if i == self.num_generators:
@@ -293,9 +290,7 @@ def span(modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
 def add(h1: Subgroup, h2: Subgroup) -> Subgroup:
     """Sum of subgroups: span of the stacked bases."""
     h1._check_compatible(h2)
-    stacked = np.vstack([h1.basis, h2.basis]) if h1.num_generators or h2.num_generators \
-        else np.zeros((0, h1.ambient), dtype=entry_dtype(h1.modulus))
-    return Subgroup(h1.modulus, stacked, h1.ambient)
+    return Subgroup(h1.modulus, np.vstack([h1.basis, h2.basis]), h1.ambient)
 
 
 def zero_block_span(modulus: int, mat: np.ndarray, lead: int) -> np.ndarray:
@@ -319,7 +314,7 @@ def orthogonal(h: Subgroup) -> Subgroup:
     order(h) * order(orthogonal(h)) == M ** ambient.
     """
     M, n = h.modulus, h.ambient
-    aug = np.hstack([h.basis.T, np.eye(n, dtype=h.basis.dtype)])
+    aug = np.hstack([h.basis.T, np.eye(n, dtype=object)])
     return Subgroup(M, zero_block_span(M, aug, h.num_generators), n,
                     _canonical=True)
 
@@ -348,11 +343,8 @@ def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     a._check_compatible(b)
     if not a.contains_subgroup(b):
         raise ValueError("quotient_invariants requires b to be a subgroup of a")
-    factors = lattice_quotient_invariants(
-        a.modulus, a.ambient,
-        [list(map(int, row)) for row in a.basis],
-        [list(map(int, row)) for row in b.basis])
-    return factors
+    return lattice_quotient_invariants(a.modulus, a.ambient,
+                                       a.basis.tolist(), b.basis.tolist())
 
 
 def invariants(h: Subgroup) -> tuple[int, ...]:

@@ -97,11 +97,8 @@ class SymbolLayout:
         return SymbolLayout(self.modulus, tuple(self.widths[t] for t in ts))
 
     def split_symbols(self, word: Sequence[int] | np.ndarray) -> list[tuple[int, ...]]:
-        w = np.asarray(word, dtype=residues.entry_dtype(self.modulus)) % self.modulus
-        if w.shape != (self.total_dim,):
-            raise ValueError(f"expected a word of length {self.total_dim}")
-        return [tuple(int(x) for x in w[self.starts[k]:self.starts[k + 1]])
-                for k in self.times()]
+        w = residues.as_residue_vector(self.modulus, word, self.total_dim)
+        return [tuple(w[self.starts[k]:self.starts[k + 1]]) for k in self.times()]
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,6 @@ def embed_zero(layout: SymbolLayout, times: Iterable[int],
                v: Sequence[int] | np.ndarray) -> np.ndarray:
     """Place a restricted vector in its blocks, zeros elsewhere."""
     idx = layout.coords(times)
-    dtype = residues.entry_dtype(layout.modulus)
-    a = np.asarray(v, dtype=dtype)
-    if a.shape != (len(idx),):
-        raise ValueError(f"expected a vector of length {len(idx)}")
-    out = np.zeros(layout.total_dim, dtype=dtype)
-    out[idx] = a % layout.modulus
+    out = np.zeros(layout.total_dim, dtype=object)
+    out[idx] = residues.as_residue_vector(layout.modulus, v, len(idx))
     return out

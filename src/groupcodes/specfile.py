@@ -138,7 +138,7 @@ def dumps_explicit(code: GroupCode, name: str = "") -> str:
         "modulus": code.layout.modulus,
         "axis": code.layout.axis_len,
         "widths": list(code.layout.widths),
-        "generators": [list(map(int, row)) for row in code.carrier.basis],
+        "generators": code.carrier.basis.tolist(),
     }
     return _dump_doc(doc, ("generators",))
 

@@ -74,7 +74,7 @@ def _proper_subset(rng: Random, n: int) -> frozenset[int]:
 def _code_artifact(code: GroupCode) -> dict:
     return {"modulus": code.layout.modulus,
             "widths": list(code.layout.widths),
-            "basis": [list(map(int, r)) for r in code.carrier.basis]}
+            "basis": code.carrier.basis.tolist()}
 
 
 Check = Callable[[Random, GroupCode], dict | None]
@@ -124,7 +124,7 @@ def _check_sum_intersection(rng: Random, c: GroupCode) -> dict | None:
     lhs = residues.orthogonal(residues.add(h1, h2))
     rhs = residues.intersect(residues.orthogonal(h1), residues.orthogonal(h2))
     if lhs != rhs:
-        return {"h2": [list(map(int, r)) for r in h2.basis]}
+        return {"h2": h2.basis.tolist()}
     return None
 
 
@@ -282,8 +282,7 @@ ALL_CHECKS: dict[str, Check] = {
 def run_trials(seed: int = 1, trials: int = 200,
                moduli: tuple[int, ...] = (2, 3, 4),
                max_axis: int = 6, max_width: int = 2,
-               checks: dict[str, Check] | None = None,
-               stop_on_failure: bool = False) -> VerifySummary:
+               checks: dict[str, Check] | None = None) -> VerifySummary:
     """Run every theorem check on ``trials`` random codes."""
     checks = ALL_CHECKS if checks is None else checks
     summary = VerifySummary(seed=seed, trials=trials)
@@ -296,6 +295,4 @@ def run_trials(seed: int = 1, trials: int = 200,
             if detail is not None:
                 detail = {**detail, "code": _code_artifact(code)}
                 summary.failures.append(TrialFailure(name, seed, i, detail))
-                if stop_on_failure:
-                    return summary
     return summary

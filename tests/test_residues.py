@@ -268,7 +268,8 @@ def test_format_group():
 
 
 def test_large_modulus_stays_exact():
-    # beyond the int64-safe product range the entries switch to exact ints
+    # entries are exact Python ints at every modulus, past the int64 product
+    # range too, and numpy integer scalars are turned into ints on the way in
     M = 1 << 40
     h = S(M, [(1 << 13, 3)])
     o = R.orthogonal(h)
@@ -276,6 +277,9 @@ def test_large_modulus_stays_exact():
     assert R.orthogonal(o) == h
     assert R.quotient_invariants(Subgroup.full(M, 1),
                                  S(M, [(1 << 20,)])) == (1 << 20,)
+    rows = [[M - 1, 3], [5, M - 7]]
+    assert (Subgroup.span(M, [[np.int64(x) for x in r] for r in rows], 2)
+            == Subgroup.span(M, rows, 2))
 
 
 # --- the int-row kernel against the numpy reference ----------------------------
@@ -284,7 +288,7 @@ def _numpy_howell_form(modulus, rows):
     """The vectorised Howell kernel the int-row kernel replaced, kept as its
     reference: same elimination order, whole numpy rows."""
     M = modulus
-    dtype = R.entry_dtype(M)
+    dtype = object
     n = rows.shape[1]
     work = [r.astype(dtype) % M for r in rows if (r % M).any()]
     pivots = []
@@ -324,7 +328,7 @@ def _numpy_howell_form(modulus, rows):
 def _numpy_reduce(h, v):
     """Greedy coset reduction on whole numpy rows, as the reference."""
     M = h.modulus
-    r = np.asarray(v, dtype=R.entry_dtype(M)) % M
+    r = np.asarray(v, dtype=object) % M
     for row in h.basis:
         col = int(np.argmax(row != 0))
         q = int(r[col]) // int(row[col])
@@ -353,7 +357,7 @@ def test_howell_kernel_matches_numpy_reference():
     for M in KERNEL_MODULI:
         divisors = [d for d in (2, 3, 4, 6, 8, 9, 12, 1 << 20, 1 << 35, 1 << 64)
                     if M % d == 0 and d < M] or [1]
-        dtype = R.entry_dtype(M)
+        dtype = object
         for _ in range(80):
             r, n = rng.randint(0, 9), rng.randint(1, 12)
             mat = np.array([[_biased_entry(rng, M, divisors) for _ in range(n)]
