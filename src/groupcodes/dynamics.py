@@ -10,8 +10,12 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one; the observable supercode,
-for one, is read off the dual as ((C^perp)_j)^perp.  The definitions that the
+Each number has one route, its cheapest exact one.  The controllable
+subcodes are spans of the rows of ``span_profile`` (one Howell pass per start
+time), the observable supercode is read off the dual as ((C^perp)_j)^perp,
+and each interval test compares orders of cached shortenings: a sum of two
+shortenings inside a third group is all of it exactly when the orders say so,
+because the two meet in a shortening too.  The definitions that the
 theorems equate with those routes are kept for the theorem battery:
 ``state_space_routes`` (all four state spaces), ``controllability_tests`` and
 ``observability_tests`` (both characterizations of each interval test) and
@@ -31,12 +35,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
-import numpy as np
-
 from . import residues
-from .codes import (GroupCode, code_equal, code_intersect, code_sum,
-                    cut_product, dual, lift_restriction, restricted_subcode,
-                    restriction, shorten)
+from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
+                    lift_restriction, restricted_subcode, restriction, shorten)
 from .residues import Subgroup, quotient_invariants
 from .spaces import Interval, TimeSubset
 
@@ -46,6 +47,7 @@ class InternalInconsistency(Exception):
 
 
 Invariants = tuple[int, ...]
+Row = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +114,48 @@ def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
 # controllable subcodes / observable supercodes
 
 
+@lru_cache(maxsize=1024)
+def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
+    """Trellis-oriented rows of the code, by start time and last time.
+
+    ``span_profile(code)[k][b]`` holds the rows, as full-length int tuples,
+    that vanish before time k and end at time b (empty for b < k).  One Howell
+    pass per start k, with the columns of the times before k in front and the
+    later times in reverse, puts each pivot at its row's last time; by the
+    Howell property the rows of start k that end by time b span exactly the
+    interval subcode C_{:[k,b]}.
+    """
+    layout, basis = code.layout, code.carrier.basis
+    M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+    profile = []
+    for k in range(N):
+        lead = layout.coords(range(k))
+        tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
+        tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
+        by_end: list[list[Row]] = [[] for _ in range(N)]
+        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)).tolist():
+            full = [0] * n
+            for c, x in zip(tail, row):
+                full[c] = x
+            pivot = next(i for i, x in enumerate(row) if x)
+            by_end[tail_time[pivot]].append(tuple(full))
+        profile.append(tuple(map(tuple, by_end)))
+    return tuple(profile)
+
+
 @lru_cache(maxsize=4096)
 def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
     """C_j: the subcode generated by words supported on length-(j+1) intervals.
 
-    One pass over the stacked bases of every interval shortening.
+    One span of the profile rows that end at most j times past their start.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     layout = code.layout
-    n = layout.axis_len
-    j = min(level, n - 1)
-    rows = np.vstack([shorten(code, layout.interval(k, k + j)).carrier.basis
-                      for k in range(0, n - j)])
-    return GroupCode(layout, Subgroup(layout.modulus, rows, layout.total_dim))
+    profile = span_profile(code)
+    rows = list(dict.fromkeys(row for k, by_end in enumerate(profile)
+                              for ending in by_end[k:k + level + 1] for row in ending))
+    return GroupCode(layout, Subgroup.span(layout.modulus, rows, layout.total_dim))
 
 
 @lru_cache(maxsize=4096)
@@ -289,11 +319,20 @@ def state_order_from_observer_granules(code: GroupCode, k: int) -> int:
 # interval controllability / observability
 
 
+def _shortened_order(code: GroupCode, lo: int, hi: int) -> int:
+    """|C_{:[lo,hi)}|."""
+    return shorten(code, code.layout.subset(range(lo, hi))).order()
+
+
 def _shortened_sum(code: GroupCode, m: int, n: int) -> bool:
-    """C == C_{:[0,n)} + C_{:[m,N)}."""
-    layout = code.layout
-    return code_equal(code, code_sum(shorten(code, layout.subset(range(0, n))),
-                                     shorten(code, layout.subset(range(m, layout.axis_len)))))
+    """C == C_{:[0,n)} + C_{:[m,N)}, by orders.
+
+    The sum lies in C, and the two summands meet in C_{:[m,n)}, so the sum is
+    all of C exactly when |C| * |C_{:[m,n)}| == |C_{:[0,n)}| * |C_{:[m,N)}|.
+    """
+    N = code.layout.axis_len
+    return (code.order() * _shortened_order(code, m, n)
+            == _shortened_order(code, 0, n) * _shortened_order(code, m, N))
 
 
 def controllable_on(code: GroupCode, m: int, n: int) -> bool:
@@ -326,16 +365,16 @@ def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
 def observable_on(code: GroupCode, m: int, n: int) -> bool:
     """[m, n)-observability: a length-(n-m) window pins the state down.
 
-    The off-window subcode splits as past x future.
+    The off-window subcode splits as past x future: the two lie in it and
+    meet trivially, so it is their sum exactly when its order is the product
+    of theirs.
     """
     if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
     layout = code.layout
     outside = layout.complement(layout.subset(range(m, n)))
-    return code_equal(
-        shorten(code, outside),
-        code_sum(shorten(code, layout.subset(range(0, m))),
-                 shorten(code, layout.subset(range(n, layout.axis_len)))))
+    return (shorten(code, outside).order()
+            == _shortened_order(code, 0, m) * _shortened_order(code, n, layout.axis_len))
 
 
 def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:

@@ -158,6 +158,10 @@ class StateObserver:
 
     def observe(self, window: Sequence[int], k: int) -> Vec:
         """Label computed from the last ``memory`` symbols before cut k."""
+        return self._observe(window, k)[0]
+
+    def _observe(self, window: Sequence[int], k: int) -> tuple[Vec, list[int]]:
+        """The label, and a codeword whose restriction is the window."""
         times = self.window_times(k)
         if k not in self._sections:
             self._sections[k] = _Section(self.code.carrier,
@@ -166,7 +170,7 @@ class StateObserver:
         if lifted is None:
             raise WindowNotInRestriction(
                 f"window is not in the code's restriction to times {times}")
-        return tuple(self._denoms[k].reduce(lifted))
+        return tuple(self._denoms[k].reduce(lifted)), lifted
 
 
 class ObserverEncoder:
@@ -179,21 +183,14 @@ class ObserverEncoder:
         layout = code.layout
         n = layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
+        # the symbols that extend the zero window at each time
         self._zero_extension: list[Subgroup] = []
-        self._prefix_sections: list[_Section | None] = []
         for k in range(n):
             times = list(range(max(0, k - self.memory), k + 1))
             wcode = restriction(code, layout.subset(times))
-            wl = wcode.layout
-            last = wl.axis_len - 1
+            last = frozenset({wcode.layout.axis_len - 1})
             self._zero_extension.append(
-                restriction(shorten(wcode, frozenset({last})),
-                            frozenset({last})).carrier)
-            if last:
-                self._prefix_sections.append(
-                    _Section(wcode.carrier, wl.coords(range(0, last))))
-            else:
-                self._prefix_sections.append(None)
+                restriction(shorten(wcode, last), last).carrier)
 
     def random_inputs(self, rng: Random) -> list[Vec]:
         out = []
@@ -222,9 +219,11 @@ class ObserverEncoder:
             if not self.input_groups[k].contains(inp):
                 raise InputNotInInputGroup(
                     f"input {tuple(inp)} at time {k} is outside F_{k}")
-            window = self._current_window(emitted, k)
-            state = self.observer.observe(window, k)
-            base = self._base_symbol(window, k)
+            # the symbols that follow the window are c_k + _zero_extension[k]
+            # for any codeword c through it; the base is their canonical one
+            state, c = self.observer._observe(self._current_window(emitted, k), k)
+            base = self._zero_extension[k].reduce(
+                c[layout.starts[k]:layout.starts[k + 1]])
             symbol = [(a + b) % M for a, b in zip(base, inp)]
             emitted.append(symbol)
             trace.steps.append(TraceStep(time=k, state=state, symbol=tuple(symbol),
@@ -238,54 +237,26 @@ class ObserverEncoder:
     def _current_window(self, emitted: list[list[int]], k: int) -> list[int]:
         return [x for symbol in emitted[max(0, k - self.memory):k] for x in symbol]
 
-    def _base_symbol(self, window: list[int], k: int) -> Sequence[int]:
-        """Canonical representative of {g : (window, g) in C_{|window+k}}."""
-        layout = self.code.layout
-        section = self._prefix_sections[k]
-        if section is None:
-            return [0] * layout.widths[k]
-        lifted = section.lift(window)
-        if lifted is None:
-            raise dynamics.InternalInconsistency(
-                "encoder window left the code's restriction")
-        g0 = lifted[-layout.widths[k]:]
-        return self._zero_extension[k].reduce(g0)
 
-
-def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, list[int]]]:
+def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]:
     """Checks (lo, hi, row) of a dual code, shortest span first.
 
-    One Howell pass per start k, with the columns of the times before k in
-    front and the later times in reverse, puts each pivot at its row's last
-    time; by the Howell property the rows that end by time b span exactly the
-    interval subcode of the dual on [k, b].  Intervals are taken shortest
-    first, and a row is kept only when the rows kept so far do not span it.
-    Those already span every shorter interval subcode, so each kept row
-    touches both ends of its interval and the rows of span j generate the
+    The rows of ``dynamics.span_profile`` with start k that end by time b span
+    exactly the interval subcode of the dual on [k, b].  Intervals are taken
+    shortest first, and a row is kept only when the rows kept so far do not
+    span it.  Those already span every shorter interval subcode, so each kept
+    row touches both ends of its interval and the rows of span j generate the
     granules Gamma_[k, k+j] of the dual.  The longest span is then the dual's
     controller memory, which equals the observer memory of the code.
     """
     layout, carrier = dual_code.layout, dual_code.carrier
     M, n, N = layout.modulus, layout.total_dim, layout.axis_len
-    basis = carrier.basis
-    ends: list[dict[int, list[list[int]]]] = []  # per start: rows by last time
-    for k in range(N):
-        lead = layout.coords(range(k))
-        tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
-        tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
-        by_end: dict[int, list[list[int]]] = {}
-        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)).tolist():
-            full = [0] * n
-            for c, x in zip(tail, row):
-                full[c] = x
-            pivot = next(i for i, x in enumerate(row) if x)
-            by_end.setdefault(tail_time[pivot], []).append(full)
-        ends.append(by_end)
+    profile = dynamics.span_profile(dual_code)
     kept = Subgroup.trivial(M, n)
-    checks: list[tuple[int, int, list[int]]] = []
+    checks: list[tuple[int, int, dynamics.Row]] = []
     for j in range(N):
         for k in range(N - j):
-            for row in ends[k].get(k + j, ()):
+            for row in profile[k][k + j]:
                 if not kept.contains(row):
                     kept = Subgroup.span(M, kept.basis.tolist() + [row], n)
                     checks.append((k, k + j, row))
@@ -302,7 +273,7 @@ class SyndromeFormer:
         layout = code.layout
         self.dual_code = dual(code)
         self._spans = _granule_checks(self.dual_code)
-        self._rows_by_end: dict[int, list[list[int]]] = {k: [] for k in layout.times()}
+        self._rows_by_end: dict[int, list[dynamics.Row]] = {k: [] for k in layout.times()}
         for _, hi, row in self._spans:
             self._rows_by_end[hi].append(row)
         self.memory = max((hi - lo for lo, hi, _ in self._spans), default=0)

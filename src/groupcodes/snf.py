@@ -5,7 +5,8 @@ subgroups are lifted to integer lattices sandwiched between M*Z^n and Z^n;
 the invariant factors of the quotient are the nontrivial elementary divisors
 of the change-of-basis matrix between the two lattices.  The Hermite basis of
 each lattice is its Howell form lifted to Z, so only the Smith step runs over
-Z.
+Z, and it runs only on the rows where the two lifted bases differ: every
+shared row contributes a factor 1.
 
 Everything here runs on plain Python ints: intermediate entries in a Smith
 reduction can overflow fixed-width words even for small inputs.
@@ -47,14 +48,21 @@ def lifted_howell_basis(modulus: int, ambient: int,
 
 
 def solve_upper_triangular(basis: Matrix, target: Sequence[int]) -> list[int]:
-    """Solve x @ basis == target exactly over Z (basis upper triangular)."""
+    """Solve x @ basis == target exactly over Z (basis upper triangular).
+
+    Forward substitution that subtracts each found multiple of a basis row
+    from the rest of the target, so zero coefficients cost nothing.
+    """
     n = len(basis)
     x = [0] * n
+    rest = list(target)
     for j in range(n):
-        acc = target[j] - sum(x[i] * basis[i][j] for i in range(j))
-        if acc % basis[j][j]:
-            raise ValueError("target is not in the lattice")
-        x[j] = acc // basis[j][j]
+        if rest[j]:
+            q, r = divmod(rest[j], basis[j][j])
+            if r:
+                raise ValueError("target is not in the lattice")
+            x[j] = q
+            rest[j:] = [a - q * b for a, b in zip(rest[j:], basis[j][j:])]
     return x
 
 
@@ -124,11 +132,18 @@ def lattice_quotient_invariants(modulus: int, ambient: int,
 
     Both row sets must be Howell forms over Z_M (see ``lifted_howell_basis``).
     Callers guarantee span(b) <= span(a) over Z_M, which makes L_B <= L_A.
+
+    Row c of the change of basis H_B H_A^{-1} is the unit vector e_c wherever
+    the two lifted bases share row c; row operations with it clear column c
+    from every other row, so it splits off a factor 1 with that column, and
+    only the block on the rows where the bases differ goes to Smith.
     """
     ha = lifted_howell_basis(modulus, ambient, a_rows)
     hb = lifted_howell_basis(modulus, ambient, b_rows)
-    change = [solve_upper_triangular(ha, row) for row in hb]
-    factors = [d for d in smith_diagonal(change) if d > 1]
+    differ = [c for c in range(ambient) if ha[c] != hb[c]]
+    block = [[x[c] for c in differ]
+             for x in (solve_upper_triangular(ha, hb[r]) for r in differ)]
+    factors = [d for d in smith_diagonal(block) if d > 1]
     for small, big in zip(factors, factors[1:]):
         if big % small:
             raise AssertionError(f"broken divisor chain {factors}")

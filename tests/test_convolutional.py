@@ -79,6 +79,12 @@ def test_stability_across_axis_lengths():
     assert conv.central_report(pairs, 8, margin=2) == conv.central_report(pairs, 10, margin=2)
 
 
+def test_stability_at_long_axes():
+    # the interior numbers do not depend on the axis length once it is long
+    spec = catalog.rate_one_third_z4()
+    assert conv.central_report(spec, 24, margin=3) == conv.central_report(spec, 32, margin=3)
+
+
 def test_orthogonality_check_spec_values():
     spec = catalog.rate_one_third_z4()
     taps = catalog.rate_one_third_z4_dual_taps()

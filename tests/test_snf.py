@@ -3,6 +3,8 @@
 import random
 from math import prod
 
+import pytest
+
 from groupcodes import residues, snf
 
 
@@ -68,3 +70,36 @@ def test_lattice_quotient_invariants():
         4, 2, [[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (2, 2)
     # trivial quotient
     assert snf.lattice_quotient_invariants(4, 1, [[2]], [[2]]) == ()
+
+
+@pytest.mark.parametrize("modulus", [4, 12, 2**64 + 13, 2**70])
+def test_quotient_invariants_match_sympy_smith(modulus):
+    # B is spanned by whole-row multiples of A's Howell rows, so most lifted
+    # rows are shared and only the differing ones reach the Smith step; sympy
+    # takes the full change of basis H_B H_A^{-1}, inverted exactly over Q
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = random.Random(modulus)
+    M = modulus
+    shared = differing = 0
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        a = residues.span(M, [[rng.randrange(M) for _ in range(n)]
+                              for _ in range(rng.randint(1, n + 1))], n)
+        scales = [rng.choice((1, 1, 0, rng.randrange(M))) for _ in a.basis]
+        b = residues.span(M, [[c * x for x in row]
+                              for c, row in zip(scales, a.basis.tolist())], n)
+        ha = snf.lifted_howell_basis(M, n, a.basis.tolist())
+        hb = snf.lifted_howell_basis(M, n, b.basis.tolist())
+        same = sum(ra == rb for ra, rb in zip(ha, hb))
+        shared += same
+        differing += n - same
+        change = sympy.Matrix(hb) * sympy.Matrix(ha).inv()
+        assert all(x.is_integer for x in change)
+        smith = smith_normal_form(change, domain=sympy.ZZ)
+        expected = tuple(sorted(abs(int(smith[i, i])) for i in range(n)
+                                if abs(smith[i, i]) > 1))
+        got = snf.lattice_quotient_invariants(M, n, a.basis.tolist(), b.basis.tolist())
+        assert got == expected
+        assert prod(got) == a.order() // b.order()
+    assert shared and differing

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from groupcodes import codes
 from groupcodes import dynamics as dyn
 from groupcodes import residues as R
-from groupcodes import verify
+from groupcodes import snf, verify
 from groupcodes.residues import Subgroup
 
 
@@ -69,12 +70,12 @@ def _rotated(code, times):
 
 
 def _planted_faults():
-    """(route, off-by-one replacement, check that must catch it) for every
-    library route and every definitional route the battery compares."""
-    ss, routes, ctrl, obs, sup, ctests, otests, win = (
+    """(module, route, off-by-one replacement, check that must catch it) for
+    every library route and every definitional route the battery compares."""
+    ss, routes, ctrl, obs, sup, ctests, otests, win, profile = (
         dyn.state_space, dyn.state_space_routes, dyn.controllable_on,
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
-        dyn.observability_tests, dyn.window_supercode)
+        dyn.observability_tests, dyn.window_supercode, dyn.span_profile)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -92,32 +93,64 @@ def _planted_faults():
         out["window_lift"] = otests(code, max(m - 1, 0), n)["window_lift"]
         return out
 
+    def late_profile(code):  # every row keyed one time late
+        return tuple(((),) + by_end[:-2] + (by_end[-2] + by_end[-1],)
+                     for by_end in profile(code))
+
+    def long_overlap(code, m, n):  # the summands' overlap one time too long
+        N = code.layout.axis_len
+        return (code.order() * dyn._shortened_order(code, m, min(n + 1, N))
+                == dyn._shortened_order(code, 0, n) * dyn._shortened_order(code, m, N))
+
+    def short_smith(modulus, ambient, a_rows, b_rows):  # last differing row dropped
+        ha = snf.lifted_howell_basis(modulus, ambient, a_rows)
+        hb = snf.lifted_howell_basis(modulus, ambient, b_rows)
+        differ = [c for c in range(ambient) if ha[c] != hb[c]][:-1]
+        block = [[x[c] for c in differ]
+                 for x in (snf.solve_upper_triangular(ha, hb[r]) for r in differ)]
+        return tuple(d for d in snf.smith_diagonal(block) if d > 1)
+
     return [
-        ("state_space", lambda code, times: ss(code, _rotated(code, times)),
+        (dyn, "state_space", lambda code, times: ss(code, _rotated(code, times)),
          "state-space-four-way"),
-        ("controllable_on",
+        (dyn, "controllable_on",
          lambda code, m, n: ctrl(code, m, min(n + 1, code.layout.axis_len)),
          "interval-test-equivalence"),
-        ("observable_on", lambda code, m, n: obs(code, max(m - 1, 0), n),
+        (dyn, "observable_on", lambda code, m, n: obs(code, max(m - 1, 0), n),
          "interval-test-equivalence"),
-        ("observable_supercode", lambda code, j: sup(code, j + 1),
+        (dyn, "observable_supercode", lambda code, j: sup(code, j + 1),
          "granule-factorization"),
-        ("state_space_routes", bad_routes, "state-space-four-way"),
-        ("controllability_tests", bad_puncture, "interval-test-equivalence"),
-        ("observability_tests", bad_window_lift, "interval-test-equivalence"),
-        ("window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
+        (dyn, "state_space_routes", bad_routes, "state-space-four-way"),
+        (dyn, "controllability_tests", bad_puncture, "interval-test-equivalence"),
+        (dyn, "observability_tests", bad_window_lift, "interval-test-equivalence"),
+        (dyn, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
+        (dyn, "span_profile", late_profile, "granule-factorization"),
+        (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
+        (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
+
+
+def _clear_memos():
+    for mod in (dyn, codes):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def test_battery_catches_planted_route_faults(monkeypatch):
     # every check must compare two independent routes: an off-by-one fault in
-    # either the library route or the definitional one has to show up
+    # either the library route or the definitional one has to show up.  The
+    # memos are emptied before each run, or results cached by an earlier run
+    # would stand in for a faulty route.
     faults = _planted_faults()
-    checks = {check: verify.ALL_CHECKS[check] for _, _, check in faults}
+    checks = {check: verify.ALL_CHECKS[check] for _, _, _, check in faults}
     trials = dict(seed=1, trials=60, moduli=(2, 3, 4, 6, 8, 9))
+    _clear_memos()
     assert verify.run_trials(**trials, checks=checks).ok
-    for route, fault, check in faults:
-        monkeypatch.setattr(dyn, route, fault)
+    for owner, route, fault, check in faults:
+        _clear_memos()
+        monkeypatch.setattr(owner, route, fault)
         s = verify.run_trials(**trials, checks={check: checks[check]})
         monkeypatch.undo()
         assert any(f.theorem == check for f in s.failures), route
+    _clear_memos()
