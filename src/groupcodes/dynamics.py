@@ -10,17 +10,18 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one.  The controllable
-subcodes are spans of the rows of ``span_profile`` (one Howell pass per start
-time), the observable supercode is read off the dual as ((C^perp)_j)^perp,
-and each interval test compares orders of cached shortenings: a sum of two
-shortenings inside a third group is all of it exactly when the orders say so,
-because the two meet in a shortening too.  The definitions that the
-theorems equate with those routes are kept for the theorem battery:
-``state_space_routes`` (all four state spaces), ``controllability_tests`` and
-``observability_tests`` (both characterizations of each interval test) and
-``window_supercode`` (C^j as an intersection of window lifts).  Only the
-``*_check`` helpers, ``verify`` and tests call them.
+Each number has one route, its cheapest exact one.  Each interval test
+compares orders of cached shortenings: a sum of two shortenings inside a third
+group is all of it exactly when the orders say so, because the two meet in a
+shortening too.  Phi, ordinary or end-around, comes from two shortenings of
+the code restricted to the interval (``observer_granule_on``), with no dual.
+The routes that the theorems equate with those are kept for the theorem
+battery: ``state_space_routes``, ``controllability_tests`` and
+``observability_tests``, ``controllable_subcode`` (spans of ``span_profile``
+rows), ``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode``
+(C^j as an intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W}
+in ``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and
+tests call them.
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
 axis, index searches take an ``interior_margin`` so windowed convolutional
@@ -31,7 +32,7 @@ controllability or observability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -213,34 +214,41 @@ def end_around_controller_granule(code: GroupCode, interval: Interval) -> Invari
     return controller_granule_on(code, interval)
 
 
+def observer_granule_on(code: GroupCode, interval: Interval) -> Invariants:
+    """Phi over an interval T (ordinary or end-around) with first time lo and
+    last time h, in the symbol group at h.
+
+    Phi_T is the group of words on T that pass both one-short window checks
+    (on T-{h} and on T-{lo} they are restrictions of codewords) modulo C_{|T}.
+    Let Y(S) be the symbols at h that end a word of C_{|S} vanishing on
+    S-{h}.  A passing word agrees off h with a word of C_{|T}, so the passing
+    words are C_{|T} plus the passing words supported at h, whose symbols at
+    h make up Y(T-{lo}); those in C_{|T} have their symbols in Y(T).  By the
+    second isomorphism theorem Phi_T ~ Y(T-{lo}) / Y(T), where Y(T-{lo}) is
+    the whole symbol group if T = {h}.
+    """
+    times, h = interval.times(code.layout), interval.hi
+    num = (_ending_symbols(code, times - {interval.lo}, h) if len(times) > 1
+           else Subgroup.full(code.layout.modulus, code.layout.widths[h]))
+    return quotient_invariants(num, _ending_symbols(code, times, h))
+
+
+def _ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
+    """Y(S) of ``observer_granule_on``, on the coordinates of S alone."""
+    local = restriction(code, times)
+    at_h = local.layout.subset({sorted(times).index(h)})
+    return restriction(shorten(local, at_h), at_h).carrier
+
+
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
-    """Phi_{[k, k+level]}: supercode restrictions quotient on the window;
-    level 0 is the symbol group modulo the code's output group at k."""
-    return _supercode_granule(code, k, level, observable_supercode)
-
-
-def _supercode_granule(code: GroupCode, k: int, level: int, supercode) -> Invariants:
-    """C^{j-1}_{|W} / C^j_{|W} on the window W = [k, k+j], with C^j = supercode(code, j)."""
+    """Phi_{[k, k+level]}; level 0 is the symbol group modulo the code's output
+    group at k."""
     _check_interval(code, k, level)
-    window = code.layout.interval(k, k + level)
-    if level == 0:
-        num = Subgroup.full(code.layout.modulus, code.layout.widths[k])
-    else:
-        num = restriction(supercode(code, level - 1), window).carrier
-    den = restriction(supercode(code, level), window).carrier
-    return quotient_invariants(num, den)
+    return observer_granule_on(code, Interval(k, k + level))
 
 
 def end_around_observer_granule(code: GroupCode, interval: Interval) -> Invariants:
-    """Phi over an end-around interval, via the two one-short window checks."""
-    times = interval.times(code.layout)
-    if len(times) < 2:
-        raise ValueError("end-around observer granule needs at least two times")
-    checks = code_intersect(lift_restriction(code, times - {interval.hi}),
-                            lift_restriction(code, times - {interval.lo}))
-    num = restriction(checks, times).carrier
-    den = restriction(code, times).carrier
-    return quotient_invariants(num, den)
+    return observer_granule_on(code, interval)
 
 
 def _check_interval(code: GroupCode, k: int, level: int) -> None:
@@ -253,10 +261,15 @@ def _check_interval(code: GroupCode, k: int, level: int) -> None:
 
 def granule_duality_check(code: GroupCode, k: int, level: int) -> bool:
     """Phi_{[k,k+j]}(C) acts as the character group of Gamma_{[k,k+j]}(C^perp):
-    as finite abelian groups they share invariant factors.  Phi is taken
-    from the window-lift definition of C^j."""
-    return (_supercode_granule(code, k, level, window_supercode)
-            == controller_granule(dual(code), k, level))
+    as finite abelian groups they share invariant factors.  Phi is taken here
+    by its supercode definition, C^{j-1}_{|W} / C^j_{|W} on the window
+    W = [k, k+j], with each C^j an intersection of window lifts."""
+    gamma = controller_granule(dual(code), k, level)  # rejects bad intervals
+    window = code.layout.interval(k, k + level)
+    num = (restriction(window_supercode(code, level - 1), window).carrier if level
+           else Subgroup.full(code.layout.modulus, code.layout.widths[k]))
+    den = restriction(window_supercode(code, level), window).carrier
+    return quotient_invariants(num, den) == gamma
 
 
 def end_around_check(code: GroupCode, m: int, n: int) -> bool:
@@ -277,30 +290,19 @@ def end_around_dual_check(code: GroupCode, m: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class GranuleTable:
-    """Invariant factors of Gamma and Phi per (time, level), with optional
-    end-around entries keyed by their wraparound interval."""
+    """Invariant factors of Gamma and Phi per (time, level)."""
 
     controller: dict[tuple[int, int], Invariants]
     observer: dict[tuple[int, int], Invariants]
-    end_around_controller: dict[Interval, Invariants] = field(default_factory=dict)
-    end_around_observer: dict[Interval, Invariants] = field(default_factory=dict)
 
 
-def granule_table(code: GroupCode, times=None, max_level: int | None = None,
-                  end_around: tuple[Interval, ...] = ()) -> GranuleTable:
+def granule_table(code: GroupCode, times, max_level: int) -> GranuleTable:
+    """Gamma and Phi on [k, k+j] for k in ``times`` and j <= ``max_level``."""
     n = code.layout.axis_len
-    ks = list(code.layout.times()) if times is None else sorted(code.layout.subset(times))
-    cap = n - 1 if max_level is None else min(max_level, n - 1)
-    gamma: dict[tuple[int, int], Invariants] = {}
-    phi: dict[tuple[int, int], Invariants] = {}
-    for k in ks:
-        for j in range(0, cap + 1):
-            if k + j <= n - 1:
-                gamma[(k, j)] = controller_granule(code, k, j)
-                phi[(k, j)] = observer_granule(code, k, j)
-    ea_gamma = {iv: end_around_controller_granule(code, iv) for iv in end_around}
-    ea_phi = {iv: end_around_observer_granule(code, iv) for iv in end_around}
-    return GranuleTable(gamma, phi, ea_gamma, ea_phi)
+    keys = [(k, j) for k in sorted(code.layout.subset(times))
+            for j in range(0, min(max_level, n - 1 - k) + 1)]
+    return GranuleTable({key: controller_granule(code, *key) for key in keys},
+                        {key: observer_granule(code, *key) for key in keys})
 
 
 def state_order_from_controller_granules(code: GroupCode, k: int) -> int:

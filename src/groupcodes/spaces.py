@@ -54,9 +54,6 @@ class SymbolLayout:
     def total_dim(self) -> int:
         return self.starts[-1]
 
-    def block_start(self, k: int) -> int:
-        return self.starts[k]
-
     def block(self, k: int) -> range:
         if not 0 <= k < self.axis_len:
             raise ValueError(f"time {k} outside axis of length {self.axis_len}")

@@ -174,12 +174,12 @@ def test_granules_match_oracle():
 
 
 def test_granule_table(rate13):
-    table = dyn.granule_table(rate13.code, times=[6], max_level=2,
-                              end_around=(Interval(8, 2, wraparound=True),))
+    table = dyn.granule_table(rate13.code, [6], 2)
     assert table.controller[(6, 0)] == ()
     assert table.observer[(6, 1)] == (2, 4)
     iv = Interval(8, 2, wraparound=True)
-    assert table.end_around_controller[iv] == dyn.observer_granule(rate13.code, 2, 6)
+    assert dyn.end_around_controller_granule(rate13.code, iv) == \
+        dyn.observer_granule(rate13.code, 2, 6)
 
 
 # --- end-around theorem ----------------------------------------------------------

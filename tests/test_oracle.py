@@ -103,6 +103,8 @@ def test_end_around_granule_against_oracle():
         elems = oracle.code_elements(code)
         times = list(range(nn, n)) + list(range(0, m + 1))
         from groupcodes.spaces import Interval
-        fast = dyn.end_around_controller_granule(code, Interval(nn, m, wraparound=True))
-        brute = oracle.controller_granule(code, elems, times, nn, m)
-        assert fast == brute
+        iv = Interval(nn, m, wraparound=True)
+        assert dyn.end_around_controller_granule(code, iv) == \
+            oracle.controller_granule(code, elems, times, nn, m)
+        assert dyn.end_around_observer_granule(code, iv) == \
+            oracle.observer_granule(code, elems, times, nn, m)

@@ -9,6 +9,7 @@ from groupcodes import dynamics as dyn
 from groupcodes import residues as R
 from groupcodes import snf, verify
 from groupcodes.residues import Subgroup
+from groupcodes.spaces import Interval
 
 
 def test_harness_is_deterministic():
@@ -72,10 +73,11 @@ def _rotated(code, times):
 def _planted_faults():
     """(module, route, off-by-one replacement, check that must catch it) for
     every library route and every definitional route the battery compares."""
-    ss, routes, ctrl, obs, sup, ctests, otests, win, profile = (
+    ss, routes, ctrl, obs, sup, ctests, otests, win, profile, phi_on = (
         dyn.state_space, dyn.state_space_routes, dyn.controllable_on,
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
-        dyn.observability_tests, dyn.window_supercode, dyn.span_profile)
+        dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
+        dyn.observer_granule_on)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -96,6 +98,12 @@ def _planted_faults():
     def late_profile(code):  # every row keyed one time late
         return tuple(((),) + by_end[:-2] + (by_end[-2] + by_end[-1],)
                      for by_end in profile(code))
+
+    def short_phi(code, interval):  # Phi of the interval without its first time
+        if len(interval.times(code.layout)) < 3:
+            return phi_on(code, interval)
+        lo = (interval.lo + 1) % code.layout.axis_len
+        return phi_on(code, Interval(lo, interval.hi, wraparound=lo > interval.hi))
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N = code.layout.axis_len
@@ -125,6 +133,7 @@ def _planted_faults():
         (dyn, "observability_tests", bad_window_lift, "interval-test-equivalence"),
         (dyn, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
         (dyn, "span_profile", late_profile, "granule-factorization"),
+        (dyn, "observer_granule_on", short_phi, "granule-factorization"),
         (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
