@@ -10,11 +10,15 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one.  Each interval test
-compares orders of cached shortenings: a sum of two shortenings inside a third
-group is all of it exactly when the orders say so, because the two meet in a
-shortening too.  Phi, ordinary or end-around, comes from two shortenings of
-the code restricted to the interval (``observer_granule_on``), with no dual.
+Each number has one route, its cheapest exact one.  Every prefix and suffix
+subcode C_{:[0,k)} and C_{:[k,N)} comes from two Howell forms (``cut_rows``):
+the code's own basis and one pass with the times reversed.  Each interval test
+compares orders: a sum of two shortenings inside a third group is all of it
+exactly when the orders say so, because the two meet in a shortening too, and
+only the interior term (C_{:[m,n)}, or the window restriction C_{|[m,n)} for
+observability) is a pass of its own.  Phi, ordinary or end-around, comes from
+two passes over the code's columns on the interval (``ending_symbols``), with
+no dual.  The first-output groups F_k are read off the code's basis.
 The routes that the theorems equate with those are kept for the theorem
 battery: ``state_space_routes``, ``controllability_tests`` and
 ``observability_tests``, ``controllable_subcode`` (spans of ``span_profile``
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
@@ -115,33 +120,77 @@ def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
 # controllable subcodes / observable supercodes
 
 
+def _trellis_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
+    """(last time, pivot entry, full-length row) of the Howell rows of C_{:[k,N)}.
+
+    One Howell pass with the columns of the times before k in front and the
+    later times in reverse puts each pivot at its row's last time; by the
+    Howell property the rows that end by time b span exactly C_{:[k,b]}.
+    """
+    layout, basis = code.layout, code.carrier.basis
+    n, N = layout.total_dim, layout.axis_len
+    lead = layout.coords(range(k))
+    tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
+    tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
+    out = []
+    for row in residues.zero_block_span(layout.modulus, basis[:, lead + tail], len(lead)).tolist():
+        full = [0] * n
+        for c, x in zip(tail, row):
+            full[c] = x
+        pivot = next(i for i, x in enumerate(row) if x)
+        out.append((tail_time[pivot], row[pivot], tuple(full)))
+    return out
+
+
 @lru_cache(maxsize=1024)
 def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
     """Trellis-oriented rows of the code, by start time and last time.
 
     ``span_profile(code)[k][b]`` holds the rows, as full-length int tuples,
-    that vanish before time k and end at time b (empty for b < k).  One Howell
-    pass per start k, with the columns of the times before k in front and the
-    later times in reverse, puts each pivot at its row's last time; by the
-    Howell property the rows of start k that end by time b span exactly the
-    interval subcode C_{:[k,b]}.
+    that vanish before time k and end at time b (empty for b < k): one
+    ``_trellis_rows`` pass per start k.  The rows of start k that end by time
+    b span exactly the interval subcode C_{:[k,b]}.
     """
-    layout, basis = code.layout, code.carrier.basis
-    M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+    N = code.layout.axis_len
     profile = []
     for k in range(N):
-        lead = layout.coords(range(k))
-        tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
-        tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
         by_end: list[list[Row]] = [[] for _ in range(N)]
-        for row in residues.zero_block_span(M, basis[:, lead + tail], len(lead)).tolist():
-            full = [0] * n
-            for c, x in zip(tail, row):
-                full[c] = x
-            pivot = next(i for i, x in enumerate(row) if x)
-            by_end[tail_time[pivot]].append(tuple(full))
+        for b, _, row in _trellis_rows(code, k):
+            by_end[b].append(row)
         profile.append(tuple(map(tuple, by_end)))
     return tuple(profile)
+
+
+class Cut(NamedTuple):
+    """Howell rows of the prefix and suffix subcodes at one cut k."""
+
+    past: tuple[Row, ...]    # spans C_{:[0,k)}
+    future: tuple[Row, ...]  # spans C_{:[k,N)}
+    past_order: int
+    future_order: int
+
+
+@lru_cache(maxsize=1024)
+def cut_rows(code: GroupCode) -> tuple[Cut, ...]:
+    """The prefix and suffix subcodes at every cut k = 0..N, from two Howell forms.
+
+    By the Howell property the rows of the code's basis that pivot at or after
+    time k span C_{:[k,N)}, and in the start-0 pass of ``span_profile`` (the
+    times reversed) the rows that end before time k span C_{:[0,k)}.  Each set
+    is a Howell form of its span, so its order is the product of M/pivot over
+    its rows.
+    """
+    layout, carrier = code.layout, code.carrier
+    M, N = layout.modulus, layout.axis_len
+    time_of = [t for t in range(N) for _ in layout.block(t)]
+    fwd = [(time_of[c], d, tuple(row))
+           for (c, d), row in zip(carrier.pivots, carrier.basis.tolist())]
+    back = _trellis_rows(code, 0)
+    return tuple(Cut(tuple(row for t, _, row in back if t < k),
+                     tuple(row for t, _, row in fwd if t >= k),
+                     prod(M // d for t, d, _ in back if t < k),
+                     prod(M // d for t, d, _ in fwd if t >= k))
+                 for k in range(N + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -228,16 +277,24 @@ def observer_granule_on(code: GroupCode, interval: Interval) -> Invariants:
     the whole symbol group if T = {h}.
     """
     times, h = interval.times(code.layout), interval.hi
-    num = (_ending_symbols(code, times - {interval.lo}, h) if len(times) > 1
+    num = (ending_symbols(code, times - {interval.lo}, h) if len(times) > 1
            else Subgroup.full(code.layout.modulus, code.layout.widths[h]))
-    return quotient_invariants(num, _ending_symbols(code, times, h))
+    return quotient_invariants(num, ending_symbols(code, times, h))
 
 
-def _ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
-    """Y(S) of ``observer_granule_on``, on the coordinates of S alone."""
-    local = restriction(code, times)
-    at_h = local.layout.subset({sorted(times).index(h)})
-    return restriction(shorten(local, at_h), at_h).carrier
+def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
+    """Y(S): the symbols at time h in S that end a word of C_{|S} vanishing on
+    S-{h}.
+
+    One pass over the basis columns of S with h's block last: by the Howell
+    property the rows that vanish on the other columns span exactly those
+    words.
+    """
+    layout = code.layout
+    lead = layout.coords(times - {h})
+    rows = residues.zero_block_span(
+        layout.modulus, code.carrier.basis[:, lead + list(layout.block(h))], len(lead))
+    return Subgroup(layout.modulus, rows, layout.widths[h], _canonical=True)
 
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
@@ -331,10 +388,11 @@ def _shortened_sum(code: GroupCode, m: int, n: int) -> bool:
 
     The sum lies in C, and the two summands meet in C_{:[m,n)}, so the sum is
     all of C exactly when |C| * |C_{:[m,n)}| == |C_{:[0,n)}| * |C_{:[m,N)}|.
+    The two one-sided orders come from ``cut_rows``.
     """
-    N = code.layout.axis_len
+    cuts = cut_rows(code)
     return (code.order() * _shortened_order(code, m, n)
-            == _shortened_order(code, 0, n) * _shortened_order(code, m, N))
+            == cuts[n].past_order * cuts[m].future_order)
 
 
 def controllable_on(code: GroupCode, m: int, n: int) -> bool:
@@ -373,10 +431,11 @@ def observable_on(code: GroupCode, m: int, n: int) -> bool:
     """
     if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
-    layout = code.layout
-    outside = layout.complement(layout.subset(range(m, n)))
-    return (shorten(code, outside).order()
-            == _shortened_order(code, 0, m) * _shortened_order(code, n, layout.axis_len))
+    # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
+    # |C| / |C_{|[m,n)}|
+    cuts = cut_rows(code)
+    window = restriction(code, code.layout.subset(range(m, n)))
+    return code.order() == window.order() * cuts[m].past_order * cuts[n].future_order
 
 
 def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
@@ -476,8 +535,17 @@ def _chain_block(code: GroupCode, support: TimeSubset, k: int) -> Subgroup:
 
 
 def first_output_group(code: GroupCode, k: int) -> Subgroup:
-    N = code.layout.axis_len
-    return _chain_block(code, code.layout.subset(range(k, N)), k)
+    """F_k = (C_{:[k,N)})_{|{k}}: the block-k parts of the basis rows that
+    pivot in block k.
+
+    The rows that pivot at or after block k span C_{:[k,N)} (``cut_rows``);
+    the later ones vanish on block k, and the block-k parts of the others are
+    already a Howell form.
+    """
+    carrier, block = code.carrier, code.layout.block(k)
+    at_k = [i for i, (c, _) in enumerate(carrier.pivots) if c in block]
+    return Subgroup(carrier.modulus, carrier.basis[at_k, block.start:block.stop],
+                    len(block), _canonical=True)
 
 
 def last_output_group(code: GroupCode, k: int) -> Subgroup:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics, residues
-from .codes import GroupCode, dual, restriction, shorten
+from .codes import GroupCode, dual, shorten
 from .residues import Subgroup, howell_form
 
 
@@ -135,13 +135,11 @@ class StateObserver:
     def __init__(self, code: GroupCode):
         self.code = code
         self.memory = machine_memory(code)
-        layout = code.layout
-        n = layout.axis_len
-        # label reducers: the two-sided shortened subgroup at each cut
-        self._denoms = [
-            residues.add(shorten(code, layout.subset(range(0, k))).carrier,
-                         shorten(code, layout.subset(range(k, n))).carrier)
-            for k in range(n + 1)]
+        M, n = code.layout.modulus, code.layout.total_dim
+        # label reducers: C_{:[0,k)} + C_{:[k,N)} at each cut k, one span of
+        # the cut's past and future rows
+        self._denoms = [Subgroup.span(M, cut.past + cut.future, n)
+                        for cut in dynamics.cut_rows(code)]
         self._sections: dict[int, _Section] = {}
 
     def window_times(self, k: int) -> list[int]:
@@ -183,14 +181,11 @@ class ObserverEncoder:
         layout = code.layout
         n = layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
-        # the symbols that extend the zero window at each time
-        self._zero_extension: list[Subgroup] = []
-        for k in range(n):
-            times = list(range(max(0, k - self.memory), k + 1))
-            wcode = restriction(code, layout.subset(times))
-            last = frozenset({wcode.layout.axis_len - 1})
-            self._zero_extension.append(
-                restriction(shorten(wcode, last), last).carrier)
+        # the symbols that extend the zero window at each time: Y([k-L, k])
+        self._zero_extension = [
+            dynamics.ending_symbols(
+                code, layout.subset(range(max(0, k - self.memory), k + 1)), k)
+            for k in range(n)]
 
     def random_inputs(self, rng: Random) -> list[Vec]:
         out = []
@@ -311,7 +306,8 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
                     rng: Random | None = None) -> bool:
     """Encoder, observer, and syndrome-former agree on random traffic.
 
-    The syndrome-former's memory is the encoder's; encoded words have
+    The syndrome-former's memory is the encoder's; the observer's state count
+    at every cut matches the orders of the two shortenings; encoded words have
     all-zero syndromes and per-time states matching the full-word observer;
     perturbations by non-codewords are flagged; and the input groups account
     for the code exactly.
@@ -322,7 +318,13 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
     if sf.memory != enc.memory:
         return False
     layout = code.layout
-    M = layout.modulus
+    M, N = layout.modulus, layout.axis_len
+    # |C_{:[0,k)} + C_{:[k,N)}| is the product of the two orders: they meet trivially
+    for k in range(N + 1):
+        past = shorten(code, layout.subset(range(0, k))).order()
+        future = shorten(code, layout.subset(range(k, N))).order()
+        if enc.observer.state_count(k) != code.order() // (past * future):
+            return False
     if prod(input_group_orders(code)) != code.order():
         return False
     for _ in range(trials):

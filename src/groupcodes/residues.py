@@ -223,6 +223,11 @@ class Subgroup:
                 f"basis {self.basis.tolist()})")
 
     @property
+    def pivots(self) -> tuple[tuple[int, int], ...]:
+        """(column, entry) of each basis row's pivot, top row first."""
+        return self._pivots
+
+    @property
     def num_generators(self) -> int:
         return self.basis.shape[0]
 

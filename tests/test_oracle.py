@@ -76,7 +76,14 @@ def test_fast_path_agreement_many_instances():
             {tuple(map(int, e)) for e in dual(code).carrier.enumerate()}
         # state counts
         k = rng.randint(1, n - 1)
-        assert oracle.state_count(code, k) == dyn.state_at(code, k).order
+        assert oracle.state_count(code, k) == dyn.state_at(code, k).order \
+            == mc.StateObserver(code).state_count(k)
+        # input groups: F_k is the set of time-k symbols of C_{:[k,N)}
+        t = rng.randint(0, n - 1)
+        block = code.layout.block(t)
+        tail = oracle.supported_inside(elems, code.layout, code.layout.subset(range(t, n)))
+        assert len({e[block.start:block.stop] for e in tail}) == \
+            dyn.first_output_group(code, t).order()
         # granules
         j = rng.randint(0, n - 1)
         kk = rng.randint(0, n - 1 - j)

@@ -6,6 +6,7 @@ import pytest
 
 from groupcodes import codes
 from groupcodes import dynamics as dyn
+from groupcodes import machines as mc
 from groupcodes import residues as R
 from groupcodes import snf, verify
 from groupcodes.residues import Subgroup
@@ -78,6 +79,8 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
+    cut_rows, ending, observer_init = (dyn.cut_rows, dyn.ending_symbols,
+                                       mc.StateObserver.__init__)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -104,6 +107,22 @@ def _planted_faults():
             return phi_on(code, interval)
         lo = (interval.lo + 1) % code.layout.axis_len
         return phi_on(code, Interval(lo, interval.hi, wraparound=lo > interval.hi))
+
+    def short_past(code):  # past rows one time short: C_{:[0,k-1)} at cut k
+        cuts = cut_rows(code)
+        return tuple(cut._replace(past=cuts[max(k - 1, 0)].past,
+                                  past_order=cuts[max(k - 1, 0)].past_order)
+                     for k, cut in enumerate(cuts))
+
+    def short_ending(code, times, h):  # Y(S) without S's first time
+        if len(times) < 3:
+            return ending(code, times, h)
+        return ending(code, times - {min(times - {h})}, h)
+
+    def long_reducers(self, code):  # each label reducer's past one time long
+        observer_init(self, code)
+        self._denoms = [R.add(d, e) for d, e in zip(self._denoms,
+                                                    self._denoms[1:] + self._denoms[-1:])]
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N = code.layout.axis_len
@@ -135,6 +154,9 @@ def _planted_faults():
         (dyn, "span_profile", late_profile, "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "granule-factorization"),
         (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
+        (dyn, "cut_rows", short_past, "interval-test-equivalence"),
+        (dyn, "ending_symbols", short_ending, "granule-factorization"),
+        (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
 
