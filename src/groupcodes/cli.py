@@ -139,6 +139,9 @@ def cmd_encode(args) -> int:
         if not isinstance(raw, list):
             raise specfile.SpecFileError("inputs file must be a JSON list")
         inputs = [tuple(v) if isinstance(v, list) else (v,) for v in raw]
+        if not all(specfile._is_int(x) for v in inputs for x in v):
+            raise specfile.SpecFileError(
+                "each input must be an int or a list of ints")
     else:
         inputs = enc.random_inputs(Random(args.random))
     word, trace = enc.encode(inputs)

@@ -15,16 +15,17 @@ subcode C_{:[0,k)} and C_{:[k,N)} comes from two Howell forms (``cut_rows``):
 the code's own basis and one pass with the times reversed.  Each interval test
 compares orders: a sum of two shortenings inside a third group is all of it
 exactly when the orders say so, because the two meet in a shortening too, and
-only the interior term (C_{:[m,n)}, or the window restriction C_{|[m,n)} for
-observability) is a pass of its own.  Phi, ordinary or end-around, comes from
-two passes over the code's columns on the interval (``ending_symbols``), with
-no dual.  The first-output groups F_k are read off the code's basis.
-The routes that the theorems equate with those are kept for the theorem
-battery: ``state_space_routes``, ``controllability_tests`` and
-``observability_tests``, ``controllable_subcode`` (spans of ``span_profile``
-rows), ``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode``
-(C^j as an intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W}
-in ``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and
+only the interior term (C_{:[m,n)}, or for observability one Howell form of
+the window's columns, whose order is |C_{|[m,n)}|) is a pass of its own.
+Phi, ordinary or end-around, comes from two passes over the code's columns
+on the interval (``ending_symbols``), with no dual.  The first-output groups
+F_k are read off the code's basis.  The routes that the theorems equate with
+those are kept for the theorem battery: ``state_space_routes``,
+``controllability_tests`` and ``observability_tests``,
+``controllable_subcode`` (spans of ``span_profile`` rows),
+``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode`` (C^j as
+an intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W} in
+``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and
 tests call them.
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
@@ -432,10 +433,14 @@ def observable_on(code: GroupCode, m: int, n: int) -> bool:
     if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
     # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
-    # |C| / |C_{|[m,n)}|
-    cuts = cut_rows(code)
-    window = restriction(code, code.layout.subset(range(m, n)))
-    return code.order() == window.order() * cuts[m].past_order * cuts[n].future_order
+    # |C| / |C_{|[m,n)}|; the window's columns are contiguous, and the order
+    # of a Howell form is the product of M/pivot over its rows
+    layout, cuts = code.layout, cut_rows(code)
+    M = layout.modulus
+    rows = residues.howell_form(
+        M, code.carrier.basis[:, layout.starts[m]:layout.starts[n]]).tolist()
+    window = prod(M // next(x for x in row if x) for row in rows)
+    return code.order() == window * cuts[m].past_order * cuts[n].future_order
 
 
 def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:

@@ -19,6 +19,15 @@ that are not strongly observable simply get L close to the axis length.
 
 State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
+
+Everything a step needs is built with the machine, one Howell pass per cut:
+the observer's section (the lift rows of the window and the zero extension
+Y([k-L, k]), which the encoder reads off it) and its label reducer, the
+direct sum of the cut's past and future subcodes; the syndrome former sorts
+its checks by the times they cover.  A step then runs on plain int lists:
+each reduction is one call of ``residues.reduce_ints`` on a Howell form's
+rows, and a syndrome step adds each covering check's dot product with the
+new symbol to a running sum.
 """
 
 from __future__ import annotations
@@ -27,12 +36,12 @@ from dataclasses import dataclass, field
 from math import prod
 from operator import mul
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import dynamics, residues
-from .codes import GroupCode, dual, shorten
+from .codes import GroupCode, dual, restriction, shorten
 from .residues import Subgroup, howell_form
 
 
@@ -77,48 +86,67 @@ class MachineTrace:
                           for s in self.steps]}
 
 
-class _Section:
-    """Lifts restricted words back through a subgroup.
+class _Section(NamedTuple):
+    """The observer's data at cut k, from one Howell pass over the code's basis
+    with the columns in the order W = [k-L, k), block k, the rest.
 
-    Howell-reduces the carrier with the selected coordinates permuted to the
-    front; rows whose pivot lands inside the selection restrict to a Howell
-    basis of the restriction, and each carries its full-length preimage.
+    The rows that pivot in W restrict to a Howell basis of C_{|W}.  Each is
+    kept, for ``residues.reduce_ints``, as its W part from the pivot on
+    followed by the negated full-length codeword it came from, so reducing a
+    window followed by n zeros leaves the window's residual followed by a
+    codeword through the window.  The rows that pivot in block k vanish on W,
+    so their block-k parts span Y([k-L, k]), the symbols that can follow the
+    zero window; as the leading part of a Howell form they are its Howell
+    basis, the one ``dynamics.ending_symbols`` returns.
     """
 
-    def __init__(self, carrier: Subgroup, idx: list[int]):
-        self.modulus = carrier.modulus
-        self.ambient = carrier.ambient
-        self.idx = idx
-        rest = [j for j in range(carrier.ambient) if j not in set(idx)]
-        perm = idx + rest
-        self.perm = perm
-        h = howell_form(carrier.modulus, carrier.basis[:, perm])
-        k = len(idx)
-        # int rows: each front row as its tail from its pivot, with its lift
-        self.front_rows: list[list[int]] = []
-        self.front_pivots: list[tuple[int, int]] = []
-        self.lifts: list[list[int]] = []
-        for row in h.tolist():
-            p = next(c for c, x in enumerate(row) if x)
-            if p < k:
-                self.front_rows.append(row[p:k])
-                self.front_pivots.append((p, row[p]))
-                full = [0] * carrier.ambient
-                for c, x in zip(perm, row):
-                    full[c] = x
-                self.lifts.append(full)
+    window: int                             # coordinates in W
+    lifts: list[tuple[int, int, list[int]]]
+    ending: Subgroup | None                 # Y([k-L, k]); None at k = N
 
-    def lift(self, target: Sequence[int]) -> list[int] | None:
-        """A full-length element of the subgroup restricting to ``target``."""
-        M = self.modulus
-        r = residues.as_residue_vector(M, target, len(self.idx))
-        out = [0] * self.ambient
-        for row, (col, d), full in zip(self.front_rows, self.front_pivots, self.lifts):
-            q = r[col] // d
-            if q:
-                r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row)]
-                out = [(a + q * b) % M for a, b in zip(out, full)]
-        return None if any(r) else out
+
+def _section(code: GroupCode, lo: int, k: int) -> _Section:
+    layout = code.layout
+    M, n, starts = layout.modulus, layout.total_dim, layout.starts
+    a, b = starts[lo], starts[k]
+    c = starts[min(k + 1, layout.axis_len)]  # block k is [b, c), empty at k = N
+    perm = [*range(a, c), *range(a), *range(c, n)]
+    # basis rows that pivot from c on vanish on W and block k: they add
+    # nothing to either restriction, and any lift is as good as another
+    top = sum(1 for col, _ in code.carrier.pivots if col < c)
+    lifts, ending = [], []
+    for row in howell_form(M, code.carrier.basis[:top, perm]).tolist():
+        p = next(i for i, x in enumerate(row) if x)
+        if p < b - a:
+            full = [0] * n
+            for j, x in zip(perm, row):
+                full[j] = -x % M
+            lifts.append((p, row[p], row[p:b - a] + full))
+        elif p < c - a:
+            ending.append(row[b - a:c - a])
+    y = None
+    if k < layout.axis_len:
+        y = Subgroup(M, np.array(ending, dtype=object).reshape(len(ending), c - b),
+                     c - b, _canonical=True)
+    return _Section(b - a, lifts, y)
+
+
+def _label_reducer(modulus: int, ambient: int, start: int, cut: dynamics.Cut) -> Subgroup:
+    """C_{:[0,k)} + C_{:[k,N)} at a cut k whose blocks before k fill the first
+    ``start`` coordinates.
+
+    The summands have disjoint supports, and the future rows are the tail of
+    the code's Howell basis, so one Howell form of the past rows on their
+    ``start`` coordinates, stacked over the future rows, is the Howell form
+    of the sum.
+    """
+    M, n, s = modulus, ambient, start
+    past = []
+    if cut.past:
+        past = howell_form(M, np.array([row[:s] for row in cut.past], dtype=object)).tolist()
+    rows = [row + [0] * (n - s) for row in past] + list(cut.future)
+    return Subgroup(M, np.array(rows, dtype=object).reshape(len(rows), n), n,
+                    _canonical=True)
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -135,12 +163,13 @@ class StateObserver:
     def __init__(self, code: GroupCode):
         self.code = code
         self.memory = machine_memory(code)
-        M, n = code.layout.modulus, code.layout.total_dim
-        # label reducers: C_{:[0,k)} + C_{:[k,N)} at each cut k, one span of
-        # the cut's past and future rows
-        self._denoms = [Subgroup.span(M, cut.past + cut.future, n)
-                        for cut in dynamics.cut_rows(code)]
-        self._sections: dict[int, _Section] = {}
+        layout = code.layout
+        M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+        # label reducers C_{:[0,k)} + C_{:[k,N)} and sections, at each cut k
+        self._denoms = [_label_reducer(M, n, layout.starts[k], cut)
+                        for k, cut in enumerate(dynamics.cut_rows(code))]
+        self._sections = [_section(code, max(0, k - self.memory), k)
+                          for k in range(N + 1)]
 
     def window_times(self, k: int) -> list[int]:
         return list(range(max(0, k - self.memory), k))
@@ -160,15 +189,16 @@ class StateObserver:
 
     def _observe(self, window: Sequence[int], k: int) -> tuple[Vec, list[int]]:
         """The label, and a codeword whose restriction is the window."""
-        times = self.window_times(k)
-        if k not in self._sections:
-            self._sections[k] = _Section(self.code.carrier,
-                                         self.code.layout.coords(times))
-        lifted = self._sections[k].lift(window)
-        if lifted is None:
+        M = self.code.layout.modulus
+        section = self._sections[k]
+        w = section.window
+        r = residues.as_residue_vector(M, window, w) + [0] * self.code.layout.total_dim
+        residues.reduce_ints(M, section.lifts, r)
+        if any(r[:w]):
             raise WindowNotInRestriction(
-                f"window is not in the code's restriction to times {times}")
-        return tuple(self._denoms[k].reduce(lifted)), lifted
+                f"window is not in the code's restriction to times {self.window_times(k)}")
+        lifted = r[w:]
+        return tuple(residues.reduce_ints(M, self._denoms[k].tails, lifted[:])), lifted
 
 
 class ObserverEncoder:
@@ -178,14 +208,10 @@ class ObserverEncoder:
         self.code = code
         self.observer = StateObserver(code)
         self.memory = self.observer.memory
-        layout = code.layout
-        n = layout.axis_len
+        n = code.layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
         # the symbols that extend the zero window at each time: Y([k-L, k])
-        self._zero_extension = [
-            dynamics.ending_symbols(
-                code, layout.subset(range(max(0, k - self.memory), k + 1)), k)
-            for k in range(n)]
+        self._zero_extension = [s.ending for s in self.observer._sections[:n]]
 
     def random_inputs(self, rng: Random) -> list[Vec]:
         out = []
@@ -203,7 +229,7 @@ class ObserverEncoder:
         n = layout.axis_len
         if len(inputs) != n:
             raise ValueError(f"need one input per time ({n})")
-        M = layout.modulus
+        M, starts = layout.modulus, layout.starts
         emitted: list[list[int]] = []
         trace = MachineTrace()
         for k in range(n):
@@ -217,17 +243,17 @@ class ObserverEncoder:
             # the symbols that follow the window are c_k + _zero_extension[k]
             # for any codeword c through it; the base is their canonical one
             state, c = self.observer._observe(self._current_window(emitted, k), k)
-            base = self._zero_extension[k].reduce(
-                c[layout.starts[k]:layout.starts[k + 1]])
+            base = residues.reduce_ints(M, self._zero_extension[k].tails,
+                                        c[starts[k]:starts[k + 1]])
             symbol = [(a + b) % M for a, b in zip(base, inp)]
             emitted.append(symbol)
             trace.steps.append(TraceStep(time=k, state=state, symbol=tuple(symbol),
                                          inp=tuple(inp)))
-        word = np.array([x for symbol in emitted for x in symbol], dtype=object)
+        word = [x for symbol in emitted for x in symbol]
         if not self.code.contains(word):
             raise dynamics.InternalInconsistency(
                 "encoder produced a word outside the code")
-        return word, trace
+        return np.array(word, dtype=object), trace
 
     def _current_window(self, emitted: list[list[int]], k: int) -> list[int]:
         return [x for symbol in emitted[max(0, k - self.memory):k] for x in symbol]
@@ -244,18 +270,21 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]
     granules Gamma_[k, k+j] of the dual.  The longest span is then the dual's
     controller memory, which equals the observer memory of the code.
     """
-    layout, carrier = dual_code.layout, dual_code.carrier
-    M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+    layout = dual_code.layout
+    M, N = layout.modulus, layout.axis_len
     profile = dynamics.span_profile(dual_code)
-    kept = Subgroup.trivial(M, n)
+    target = dual_code.order()
+    kept: list[list[int]] = []  # Howell form of the kept rows' span
+    tails: list[tuple[int, int, list[int]]] = []
     checks: list[tuple[int, int, dynamics.Row]] = []
     for j in range(N):
         for k in range(N - j):
             for row in profile[k][k + j]:
-                if not kept.contains(row):
-                    kept = Subgroup.span(M, kept.basis.tolist() + [row], n)
+                if any(residues.reduce_ints(M, tails, list(row))):
+                    kept = howell_form(M, np.array(kept + [list(row)], dtype=object)).tolist()
+                    tails = residues.pivot_tails(kept)
                     checks.append((k, k + j, row))
-                    if kept == carrier:
+                    if prod(M // d for _, d, _ in tails) == target:
                         return checks
     return checks
 
@@ -268,27 +297,37 @@ class SyndromeFormer:
         layout = code.layout
         self.dual_code = dual(code)
         self._spans = _granule_checks(self.dual_code)
-        self._rows_by_end: dict[int, list[dynamics.Row]] = {k: [] for k in layout.times()}
-        for _, hi, row in self._spans:
-            self._rows_by_end[hi].append(row)
         self.memory = max((hi - lo for lo, hi, _ in self._spans), default=0)
+        # per time k: (check, its entries on block k) for every check whose
+        # span covers k, and which of those end at k or stay active across
+        # cut k+1 (lo <= k < hi), in check order
+        N, starts = layout.axis_len, layout.starts
+        self._blocks: list[list[tuple[int, dynamics.Row]]] = [[] for _ in range(N)]
+        self._ending: list[list[int]] = [[] for _ in range(N)]
+        self._active: list[list[int]] = [[] for _ in range(N)]
+        for i, (lo, hi, row) in enumerate(self._spans):
+            for k in range(lo, hi + 1):
+                self._blocks[k].append((i, row[starts[k]:starts[k + 1]]))
+                (self._ending if k == hi else self._active)[k].append(i)
 
     def syndrome_width(self, k: int) -> int:
-        return len(self._rows_by_end[k])
+        return len(self._ending[k])
 
     def form(self, word: Sequence[int]) -> tuple[list[Vec], MachineTrace]:
         layout = self.code.layout
-        M = layout.modulus
+        M, starts = layout.modulus, layout.starts
         w = residues.as_residue_vector(M, word, layout.total_dim)
         trace = MachineTrace()
         syndromes: list[Vec] = []
+        acc = [0] * len(self._spans)  # each check's sum over the times so far
         for k in layout.times():
-            start, upto = layout.starts[k], layout.starts[k + 1]
-            comp = tuple(sum(map(mul, row, w)) % M for row in self._rows_by_end[k])
-            partials = tuple(sum(map(mul, row[:upto], w)) % M
-                             for a, b, row in self._spans if a <= k < b)
+            symbol = w[starts[k]:starts[k + 1]]
+            for i, seg in self._blocks[k]:
+                acc[i] += sum(map(mul, seg, symbol))
+            comp = tuple(acc[i] % M for i in self._ending[k])
+            partials = tuple(acc[i] % M for i in self._active[k])
             trace.steps.append(TraceStep(time=k, state=partials,
-                                         symbol=tuple(w[start:upto]), syndrome=comp))
+                                         symbol=tuple(symbol), syndrome=comp))
             syndromes.append(comp)
         return syndromes, trace
 
@@ -318,7 +357,14 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
     if sf.memory != enc.memory:
         return False
     layout = code.layout
-    M, N = layout.modulus, layout.axis_len
+    M, N, L = layout.modulus, layout.axis_len, enc.memory
+    # C_{|[k-L,k]} -> C_{|[k-L,k)} is onto with kernel 0 x Y([k-L, k])
+    for k in range(N):
+        lo = max(0, k - L)
+        window = restriction(code, layout.subset(range(lo, k))).order() if k > lo else 1
+        if (enc._zero_extension[k].order() * window
+                != restriction(code, layout.interval(lo, k)).order()):
+            return False
     # |C_{:[0,k)} + C_{:[k,N)}| is the product of the two orders: they meet trivially
     for k in range(N + 1):
         past = shorten(code, layout.subset(range(0, k))).order()

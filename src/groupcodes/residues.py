@@ -19,10 +19,12 @@ one pass over stacked bases; quotient invariants come from ``snf``.
 Every residue is a plain Python int, which never overflows, so every M
 takes the same path and every answer is exact.  Rows from outside enter
 through ``as_residue_matrix`` or ``as_residue_vector``, which pass each entry
-through ``int``.  The elimination kernel (``howell_form`` and
-``Subgroup.reduce``) runs on int lists and touches only the tail of each row
-from its leading column on; numpy only holds ``Subgroup.basis`` and the
-arrays that functions return, always of dtype ``object``.
+through ``int``.  The elimination kernels, ``howell_form`` and the one
+reduction loop ``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``,
+and called directly by the machines), run on int lists and touch only the
+tail of each row from its leading column on; numpy only holds
+``Subgroup.basis`` and the arrays that functions return, always of dtype
+``object``.
 """
 
 from __future__ import annotations
@@ -64,10 +66,43 @@ def as_residue_matrix(modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
 def as_residue_vector(modulus: int, v: Sequence[int] | np.ndarray,
                       length: int) -> list[int]:
     """Normalize one vector of ``length`` entries into Python ints in [0, M)."""
-    a = np.asarray(v, dtype=object)
-    if a.shape != (length,):
-        raise ValueError(f"expected a vector of length {length}, got shape {a.shape}")
-    return [int(x) % modulus for x in a.tolist()]
+    if isinstance(v, np.ndarray) and v.ndim != 1:
+        raise ValueError(f"expected a vector of length {length}, got shape {v.shape}")
+    a = v.tolist() if isinstance(v, np.ndarray) else list(v)
+    if len(a) != length:
+        raise ValueError(f"expected a vector of length {length}, got {len(a)} entries")
+    try:
+        return [int(x) % modulus for x in a]
+    except TypeError:
+        raise ValueError(f"expected a vector of {length} integers") from None
+
+
+Tails = Sequence[tuple[int, int, Sequence[int]]]
+
+
+def pivot_tails(rows: Iterable[list[int]]) -> list[tuple[int, int, list[int]]]:
+    """(pivot column, pivot entry, row from the pivot on) of each nonzero row."""
+    out = []
+    for row in rows:
+        c = next(i for i, x in enumerate(row) if x)
+        out.append((c, row[c], row[c:]))
+    return out
+
+
+def reduce_ints(modulus: int, tails: Tails, r: list[int]) -> list[int]:
+    """Greedy reduction of the int list ``r`` in place, and return it.
+
+    ``tails`` holds (pivot column, pivot entry, row from the pivot on) for
+    each row of a Howell form, top row first (``Subgroup.tails``); each tail
+    runs to the end of ``r``.  Against a Howell basis the result is the
+    canonical representative of the coset of ``r``.
+    """
+    M = modulus
+    for col, d, tail in tails:
+        q = r[col] // d
+        if q:
+            r[col:] = [(a - q * b) % M for a, b in zip(r[col:], tail)]
+    return r
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
@@ -170,7 +205,7 @@ class Subgroup:
     array; ``span`` takes rows in any form.
     """
 
-    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_hash")
+    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_tails", "_hash")
 
     def __init__(self, modulus: int, basis: np.ndarray, ambient: int,
                  _canonical: bool = False):
@@ -183,6 +218,7 @@ class Subgroup:
         self.basis = mat
         self._pivots = tuple(next((c, x) for c, x in enumerate(row) if x)
                              for row in mat.tolist())
+        self._tails: Tails | None = None
         self._hash: int | None = None
 
     # -- construction -----------------------------------------------------
@@ -228,6 +264,14 @@ class Subgroup:
         return self._pivots
 
     @property
+    def tails(self) -> Tails:
+        """(column, entry, row from the pivot on) of each basis row, top row
+        first: the rows ``reduce_ints`` takes.  Built on first use."""
+        if self._tails is None:
+            self._tails = tuple(pivot_tails(self.basis.tolist()))
+        return self._tails
+
+    @property
     def num_generators(self) -> int:
         return self.basis.shape[0]
 
@@ -243,15 +287,12 @@ class Subgroup:
         same representative iff they differ by an element of the subgroup.
         """
         M = self.modulus
-        r = as_residue_vector(M, v, self.ambient)
-        for row, (col, d) in zip(self.basis.tolist(), self._pivots):
-            q = r[col] // d
-            if q:
-                r[col:] = [(a - q * b) % M for a, b in zip(r[col:], row[col:])]
+        r = reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient))
         return np.array(r, dtype=object)
 
     def contains(self, v: Sequence[int] | np.ndarray) -> bool:
-        return not self.reduce(v).any()
+        M = self.modulus
+        return not any(reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient)))
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         self._check_compatible(other)

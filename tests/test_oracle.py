@@ -76,8 +76,17 @@ def test_fast_path_agreement_many_instances():
             {tuple(map(int, e)) for e in dual(code).carrier.enumerate()}
         # state counts
         k = rng.randint(1, n - 1)
+        observer = mc.StateObserver(code)
         assert oracle.state_count(code, k) == dyn.state_at(code, k).order \
-            == mc.StateObserver(code).state_count(k)
+            == observer.state_count(k)
+        # each cut's section pass and label reducer against their definitions
+        lay, L = code.layout, observer.memory
+        for cut, (rows, section) in enumerate(zip(dyn.cut_rows(code), observer._sections)):
+            assert observer._denoms[cut] == Subgroup.span(
+                lay.modulus, rows.past + rows.future, lay.total_dim)
+            if cut < n:
+                assert section.ending == dyn.ending_symbols(
+                    code, lay.interval(max(0, cut - L), cut), cut)
         # input groups: F_k is the set of time-k symbols of C_{:[k,N)}
         t = rng.randint(0, n - 1)
         block = code.layout.block(t)

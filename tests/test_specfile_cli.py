@@ -183,3 +183,20 @@ def test_json_booleans_are_not_ints(tmp_path, capsys, rate13_file):
     assert main(["syndrome", rate13_file, "--word", str(wf)]) == 2
     captured = capsys.readouterr()
     assert "word" in captured.err and captured.out == ""
+
+
+def test_encode_inputs_must_be_ints(tmp_path, capsys):
+    """Each ``encode --inputs`` entry is an int or a list of ints; null,
+    objects, floats, booleans and strings exit 2 with nothing on stdout."""
+    import pathlib
+    spec = str(pathlib.Path(__file__).resolve().parents[1] / "codes" / "repetition.code")
+    inputs = tmp_path / "inputs.json"
+    for bad in [None, {"a": 1}, 1.7, True, "1", [1, "a"], [True]]:
+        inputs.write_text(json.dumps([bad, 0, 0, 0, 0, 0]))
+        assert main(["encode", spec, "--inputs", str(inputs)]) == 2, bad
+        captured = capsys.readouterr()
+        assert "input" in captured.err and captured.out == ""
+    for good in [1, [1]]:
+        inputs.write_text(json.dumps([good, 0, 0, 0, 0, 0]))
+        assert main(["encode", spec, "--inputs", str(inputs)]) == 0
+    assert capsys.readouterr().out.count("codeword:") == 2

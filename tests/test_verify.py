@@ -79,8 +79,9 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    cut_rows, ending, observer_init = (dyn.cut_rows, dyn.ending_symbols,
-                                       mc.StateObserver.__init__)
+    cut_rows, ending, observer_init, encoder_init = (
+        dyn.cut_rows, dyn.ending_symbols, mc.StateObserver.__init__,
+        mc.ObserverEncoder.__init__)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -124,6 +125,12 @@ def _planted_faults():
         self._denoms = [R.add(d, e) for d, e in zip(self._denoms,
                                                     self._denoms[1:] + self._denoms[-1:])]
 
+    def short_extension(self, code):  # Y([k-L, k]) from a window one time short
+        encoder_init(self, code)
+        self._zero_extension = [
+            ending(code, code.layout.interval(min(k, max(0, k - self.memory + 1)), k), k)
+            for k in range(code.layout.axis_len)]
+
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N = code.layout.axis_len
         return (code.order() * dyn._shortened_order(code, m, min(n + 1, N))
@@ -157,6 +164,7 @@ def _planted_faults():
         (dyn, "cut_rows", short_past, "interval-test-equivalence"),
         (dyn, "ending_symbols", short_ending, "granule-factorization"),
         (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
+        (mc.ObserverEncoder, "__init__", short_extension, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
 
