@@ -17,13 +17,15 @@ from .codes import (GroupCode, code_equal, code_intersect, code_sum,
                     conditioned, dual, restricted_subcode, restriction,
                     shorten)
 from .convolutional import ConvSpec, WindowedCode, central_report, window
-from .residues import (OrderExceedsCap, Subgroup, format_group, intersect,
-                       invariants, orthogonal, quotient_invariants, span)
+from .residues import (Subgroup, format_group, intersect, invariants,
+                       orthogonal, quotient_invariants)
 from .spaces import Interval, SymbolLayout
 from .verify import run_trials
 
+span = Subgroup.span
+
 __all__ = [
-    "ConvSpec", "GroupCode", "Interval", "OrderExceedsCap", "Subgroup",
+    "ConvSpec", "GroupCode", "Interval", "Subgroup",
     "SymbolLayout", "WindowedCode", "central_report", "code_equal",
     "code_intersect", "code_sum", "conditioned", "dual", "format_group",
     "intersect", "invariants", "orthogonal", "quotient_invariants",

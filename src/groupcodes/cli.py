@@ -25,7 +25,7 @@ from random import Random
 
 from . import dynamics, machines, oracle, specfile, verify
 from .codes import dual as dual_code
-from .residues import OrderExceedsCap, format_group, group_order
+from .residues import format_group, group_order
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -282,9 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: parsing leaves it unchanged, and in-process callers
+# run ``main`` many times
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (specfile.SpecFileError, FileNotFoundError, ValueError,
@@ -292,7 +296,7 @@ def main(argv=None) -> int:
             machines.WindowNotInRestriction) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (oracle.CapExceeded, OrderExceedsCap) as e:
+    except oracle.CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
     except dynamics.InternalInconsistency as e:

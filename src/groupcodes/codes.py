@@ -7,8 +7,10 @@ conditioned codes.
 
 Each operation is one Howell projection of one matrix.  Restrictions, sums
 (``lift_restriction`` = C + W_{I-J}, ``cut_product``) and the dual are one
-``Subgroup`` pass each; shortening and conditioning take the rows of one
-Howell form that vanish on a leading column block
+``Subgroup`` pass each.  ``pivot_rows`` is the one Howell pass over a code's
+basis with its times in a chosen order; ``shorten`` and the nested shortenings
+of ``dynamics`` and ``machines`` are read off it.  Conditioning takes the rows
+of one Howell form that vanish on a leading column block
 (``residues.zero_block_span``), and intersections are one Zassenhaus pass.
 
 Conventions that matter elsewhere:
@@ -116,26 +118,46 @@ def restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
                      spaces.restrict_columns(c.carrier, c.layout, ts))
 
 
+def pivot_rows(layout: SymbolLayout, rows: np.ndarray,
+               order: Sequence[int]) -> list[tuple[int, int, int, list[int]]]:
+    """One Howell pass over ``rows`` with the blocks of the times in ``order``
+    in that order, the other times dropped: (index in ``order`` of the pivot's
+    time, pivot column, pivot entry, row) per Howell row, column and row in
+    the layout's coordinates.  By the Howell property the rows that pivot past
+    the first q times of ``order`` span the words of the pass's span that
+    vanish on those q times."""
+    starts, cols, rank = layout.starts, [], []
+    for i, t in enumerate(order):
+        cols += range(starts[t], starts[t + 1])
+        rank += [i] * layout.widths[t]
+    out, p = [], 0
+    for h in residues.howell_form(layout.modulus, rows[:, cols]).tolist():
+        while not h[p]:  # pivots increase down a Howell form
+            p += 1
+        row = [0] * layout.total_dim
+        for c, x in zip(cols[p:], h[p:]):
+            row[c] = x
+        out.append((rank[p], cols[p], h[p], row))
+    return out
+
+
 @lru_cache(maxsize=16384)
 def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
     """Subcode of words supported inside ``support``, on the full layout.
 
-    One pass over the basis with the columns outside ``support`` in front.
+    One ``pivot_rows`` pass with the times outside ``support`` in front; the
+    rows that pivot inside it are a Howell form, ``support`` being sorted.
     """
     ts = c.layout.subset(support)
     if not ts:
         return GroupCode.trivial(c.layout)
     if ts == c.layout.full_subset():
         return c
-    inside = c.layout.coords(ts)
-    outside = c.layout.coords(c.layout.complement(ts))
-    rows = residues.zero_block_span(
-        c.layout.modulus, c.carrier.basis[:, outside + inside], len(outside))
-    # ``inside`` is sorted, so putting back the zero columns keeps the form canonical
-    full = np.zeros((len(rows), c.layout.total_dim), dtype=object)
-    full[:, inside] = rows
-    return GroupCode(c.layout, Subgroup(c.layout.modulus, full, c.layout.total_dim,
-                                        _canonical=True))
+    outside = sorted(c.layout.complement(ts))
+    rows = [row for i, _, _, row in pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts))
+            if i >= len(outside)]
+    return GroupCode(c.layout, Subgroup.from_howell(c.layout.modulus, rows,
+                                                    c.layout.total_dim))
 
 
 def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:

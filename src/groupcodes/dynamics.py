@@ -10,23 +10,26 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one.  Every prefix and suffix
-subcode C_{:[0,k)} and C_{:[k,N)} comes from two Howell forms (``cut_rows``):
-the code's own basis and one pass with the times reversed.  Each interval test
-compares orders: a sum of two shortenings inside a third group is all of it
-exactly when the orders say so, because the two meet in a shortening too, and
-only the interior term (C_{:[m,n)}, or for observability one Howell form of
-the window's columns, whose order is |C_{|[m,n)}|) is a pass of its own.
-Phi, ordinary or end-around, comes from two passes over the code's columns
-on the interval (``ending_symbols``), with no dual.  The first-output groups
-F_k are read off the code's basis.  The routes that the theorems equate with
-those are kept for the theorem battery: ``state_space_routes``,
+Each number has one route, its cheapest exact one, and each pass over the
+code's basis is one ``codes.pivot_rows`` pass with the times in a chosen
+order.  Every prefix and suffix subcode C_{:[0,k)} and C_{:[k,N)} comes from
+two Howell forms (``cut_rows``): the code's own basis and one pass with the
+times reversed; their sum, the kernel of the state map, is one small pass more
+(``cut_sum``).  Each interval test compares orders: a sum of two shortenings
+inside a third group is all of it exactly when the orders say so, because the
+two meet in a shortening too, and only the interior term (C_{:[m,n)}, or for
+observability one pass over the window, whose order is |C_{|[m,n)}|) is a pass
+of its own.  Phi, ordinary or end-around, comes from two passes over the
+interval (``ending_symbols``), with no dual.  F_k is read off the code's
+basis, and the four output chains off two passes, one per direction, each
+nesting all its levels.  The routes that the theorems equate with those are
+kept for the theorem battery: ``state_space_routes``,
 ``controllability_tests`` and ``observability_tests``,
 ``controllable_subcode`` (spans of ``span_profile`` rows),
-``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode`` (C^j as
-an intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W} in
-``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and
-tests call them.
+``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode`` (C^j as an
+intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W} in
+``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and tests
+call them.
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
 axis, index searches take an ``interior_margin`` so windowed convolutional
@@ -38,13 +41,14 @@ controllability or observability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import prod
 from typing import NamedTuple
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
-                    lift_restriction, restricted_subcode, restriction, shorten)
+                    lift_restriction, pivot_rows, restricted_subcode,
+                    restriction, shorten)
 from .residues import Subgroup, quotient_invariants
 from .spaces import Interval, TimeSubset
 
@@ -104,10 +108,11 @@ def state_space_routes(code: GroupCode, times: TimeSubset) -> dict[str, Invarian
 
 
 def state_at(code: GroupCode, k: int) -> StateSpaceReport:
-    """State space at the cut between times k-1 and k (past = [0, k))."""
+    """State space at the cut before time k: C / ``cut_sum(code, k)``."""
     if not 1 <= k <= code.layout.axis_len - 1:
         raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1")
-    return state_space(code, code.layout.subset(range(0, k)))
+    return StateSpaceReport(code.layout.subset(range(0, k)),
+                            quotient_invariants(code.carrier, cut_sum(code, k)))
 
 
 def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
@@ -124,23 +129,14 @@ def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
 def _trellis_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
     """(last time, pivot entry, full-length row) of the Howell rows of C_{:[k,N)}.
 
-    One Howell pass with the columns of the times before k in front and the
-    later times in reverse puts each pivot at its row's last time; by the
-    Howell property the rows that end by time b span exactly C_{:[k,b]}.
+    One ``pivot_rows`` pass with the times before k in front and the later
+    times in reverse puts each pivot at its row's last time; by the Howell
+    property the rows that end by time b span exactly C_{:[k,b]}.
     """
-    layout, basis = code.layout, code.carrier.basis
-    n, N = layout.total_dim, layout.axis_len
-    lead = layout.coords(range(k))
-    tail = [c for t in reversed(range(k, N)) for c in layout.block(t)]
-    tail_time = [t for t in reversed(range(k, N)) for _ in layout.block(t)]
-    out = []
-    for row in residues.zero_block_span(layout.modulus, basis[:, lead + tail], len(lead)).tolist():
-        full = [0] * n
-        for c, x in zip(tail, row):
-            full[c] = x
-        pivot = next(i for i, x in enumerate(row) if x)
-        out.append((tail_time[pivot], row[pivot], tuple(full)))
-    return out
+    order = [*range(k), *reversed(range(k, code.layout.axis_len))]
+    return [(order[i], d, tuple(row))
+            for i, _, d, row in pivot_rows(code.layout, code.carrier.basis, order)
+            if i >= k]
 
 
 @lru_cache(maxsize=1024)
@@ -192,6 +188,18 @@ def cut_rows(code: GroupCode) -> tuple[Cut, ...]:
                      prod(M // d for t, d, _ in back if t < k),
                      prod(M // d for t, d, _ in fwd if t >= k))
                  for k in range(N + 1))
+
+
+def cut_sum(code: GroupCode, k: int) -> Subgroup:
+    """C_{:[0,k)} + C_{:[k,N)}: the summands have disjoint supports and the
+    future rows are the tail of the code's Howell basis, so the Howell form
+    of the past rows on the coordinates before block k, stacked over them, is
+    the sum's Howell form."""
+    layout, cut = code.layout, cut_rows(code)[k]
+    M, n, s = layout.modulus, layout.total_dim, layout.starts[k]
+    past = residues.howell_rows(M, [row[:s] for row in cut.past], s) if cut.past else []
+    return Subgroup.from_howell(
+        M, [row + [0] * (n - s) for row in past] + list(cut.future), n)
 
 
 @lru_cache(maxsize=4096)
@@ -287,15 +295,13 @@ def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
     """Y(S): the symbols at time h in S that end a word of C_{|S} vanishing on
     S-{h}.
 
-    One pass over the basis columns of S with h's block last: by the Howell
-    property the rows that vanish on the other columns span exactly those
-    words.
+    One ``pivot_rows`` pass over the times of S with h last: by the Howell
+    property the rows that pivot at h span exactly those words.
     """
-    layout = code.layout
-    lead = layout.coords(times - {h})
-    rows = residues.zero_block_span(
-        layout.modulus, code.carrier.basis[:, lead + list(layout.block(h))], len(lead))
-    return Subgroup(layout.modulus, rows, layout.widths[h], _canonical=True)
+    block, rest = code.layout.block(h), sorted(times - {h})
+    rows = [row[block.start:block.stop] for i, _, _, row in
+            pivot_rows(code.layout, code.carrier.basis, rest + [h]) if i == len(rest)]
+    return Subgroup.from_howell(code.layout.modulus, rows, len(block))
 
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
@@ -433,13 +439,11 @@ def observable_on(code: GroupCode, m: int, n: int) -> bool:
     if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
     # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
-    # |C| / |C_{|[m,n)}|; the window's columns are contiguous, and the order
-    # of a Howell form is the product of M/pivot over its rows
-    layout, cuts = code.layout, cut_rows(code)
-    M = layout.modulus
-    rows = residues.howell_form(
-        M, code.carrier.basis[:, layout.starts[m]:layout.starts[n]]).tolist()
-    window = prod(M // next(x for x in row if x) for row in rows)
+    # |C| / |C_{|[m,n)}|, and the order of a Howell form is the product of
+    # M/pivot over its rows
+    M, cuts = code.layout.modulus, cut_rows(code)
+    window = prod(M // d for _, _, d, _ in
+                  pivot_rows(code.layout, code.carrier.basis, range(m, n)))
     return code.order() == window * cuts[m].past_order * cuts[n].future_order
 
 
@@ -534,19 +538,32 @@ class ChainReport:
         return len(self.first_output) - 1
 
 
-def _chain_block(code: GroupCode, support: TimeSubset, k: int) -> Subgroup:
-    """(C_{:support})_{|{k}} as a subgroup of the time-k symbol block."""
-    return restriction(shorten(code, support), frozenset({k})).carrier
+def _chain_pass(code: GroupCode, k: int, order: list[int]):
+    """q -> (C_{:S})_{|{k}}, S the times past the first q of ``order``, from
+    one ``pivot_rows`` pass with k last: the Howell form of the block-k parts
+    of the rows that pivot past those q times, which span C_{:S}."""
+    block, M = code.layout.block(k), code.layout.modulus
+    rows = pivot_rows(code.layout, code.carrier.basis, [*order, k])
+    return cache(lambda q: Subgroup.span(
+        M, [row[block.start:block.stop] for i, _, _, row in rows if i >= q], len(block)))
+
+
+def _chain_skips(before: int, after: int, j: int) -> tuple[int, int, int, int]:
+    """How many leading times of its pass each level-j chain group vanishes on.
+
+    Pass A takes the times before k, then those after k, each in reverse:
+    F_{j,k} vanishes off [k, k+j] and F^{j,k} on [k-j, k).  Pass B takes the
+    times after k, then those before k: L_{j,k} vanishes off [k-j, k] and
+    L^{j,k} on (k, k+j].
+    """
+    return (before + max(after - j, 0), min(j, before),
+            after + max(before - j, 0), min(j, after))
 
 
 def first_output_group(code: GroupCode, k: int) -> Subgroup:
     """F_k = (C_{:[k,N)})_{|{k}}: the block-k parts of the basis rows that
-    pivot in block k.
-
-    The rows that pivot at or after block k span C_{:[k,N)} (``cut_rows``);
-    the later ones vanish on block k, and the block-k parts of the others are
-    already a Howell form.
-    """
+    pivot in block k, a Howell form, since the later rows vanish there and
+    all of them span C_{:[k,N)} (``cut_rows``)."""
     carrier, block = code.carrier, code.layout.block(k)
     at_k = [i for i, (c, _) in enumerate(carrier.pivots) if c in block]
     return Subgroup(carrier.modulus, carrier.basis[at_k, block.start:block.stop],
@@ -554,7 +571,9 @@ def first_output_group(code: GroupCode, k: int) -> Subgroup:
 
 
 def last_output_group(code: GroupCode, k: int) -> Subgroup:
-    return _chain_block(code, code.layout.subset(range(0, k + 1)), k)
+    """L_k = (C_{:[0,k]})_{|{k}}, off pass B."""
+    N = code.layout.axis_len
+    return _chain_pass(code, k, [*range(k + 1, N), *range(k)])(N - 1 - k)
 
 
 def syndrome_group(code: GroupCode, k: int) -> Invariants:
@@ -563,38 +582,26 @@ def syndrome_group(code: GroupCode, k: int) -> Invariants:
 
 
 def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> ChainReport:
-    layout = code.layout
-    N = layout.axis_len
+    """The four chains at time k, off two passes (``_chain_skips``)."""
+    N = code.layout.axis_len
     if not 0 <= k < N:
         raise ValueError("time out of range")
     cap = N - 1 if max_level is None else min(max_level, N - 1)
-    trivial = Subgroup.trivial(layout.modulus, layout.widths[k])
-
-    first, last, dual_first, dual_last = [], [], [], []
-    for j in range(0, cap + 1):
-        fwd = layout.interval(k, min(k + j, N - 1))
-        back = layout.interval(max(k - j, 0), k)
-        first.append(_chain_block(code, fwd, k))
-        last.append(_chain_block(code, back, k))
-        dual_first.append(_chain_block(code, layout.complement(back - {k}), k))
-        dual_last.append(_chain_block(code, layout.complement(fwd - {k}), k))
-
-    fq = tuple(quotient_invariants(first[j], first[j - 1] if j else trivial)
-               for j in range(0, cap + 1))
-    lq = tuple(quotient_invariants(last[j], last[j - 1] if j else trivial)
-               for j in range(0, cap + 1))
-    dfq = tuple(quotient_invariants(dual_first[j - 1], dual_first[j])
-                for j in range(1, cap + 1))
-    dlq = tuple(quotient_invariants(dual_last[j - 1], dual_last[j])
-                for j in range(1, cap + 1))
+    a = _chain_pass(code, k, [*reversed(range(k)), *reversed(range(k + 1, N))])
+    b = _chain_pass(code, k, [*range(k + 1, N), *range(k)])
+    first, dual_first, last, dual_last = zip(*(
+        (a(f), a(df), b(la), b(dl))
+        for f, df, la, dl in (_chain_skips(k, N - 1 - k, j) for j in range(cap + 1))))
+    trivial = (Subgroup.trivial(code.layout.modulus, code.layout.widths[k]),)
     return ChainReport(
-        time=k,
-        first_output=tuple(first), last_output=tuple(last),
-        dual_first=tuple(dual_first), dual_last=tuple(dual_last),
-        first_quotients=fq, last_quotients=lq,
-        dual_first_quotients=dfq, dual_last_quotients=dlq,
+        time=k, first_output=first, last_output=last,
+        dual_first=dual_first, dual_last=dual_last,
+        first_quotients=tuple(map(quotient_invariants, first, trivial + first)),
+        last_quotients=tuple(map(quotient_invariants, last, trivial + last)),
+        dual_first_quotients=tuple(map(quotient_invariants, dual_first, dual_first[1:])),
+        dual_last_quotients=tuple(map(quotient_invariants, dual_last, dual_last[1:])),
         first_output_group=first_output_group(code, k),
-        last_output_group=last_output_group(code, k),
+        last_output_group=b(N - 1 - k),
         syndrome_group=syndrome_group(code, k))
 
 

@@ -21,9 +21,9 @@ State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
 
 Everything a step needs is built with the machine, one Howell pass per cut:
-the observer's section (the lift rows of the window and the zero extension
-Y([k-L, k]), which the encoder reads off it) and its label reducer, the
-direct sum of the cut's past and future subcodes; the syndrome former sorts
+the observer's section (a ``codes.pivot_rows`` pass giving the lift rows of
+the window and the zero extension Y([k-L, k]), which the encoder reads off
+it) and its label reducer ``dynamics.cut_sum``; the syndrome former sorts
 its checks by the times they cover.  A step then runs on plain int lists:
 each reduction is one call of ``residues.reduce_ints`` on a Howell form's
 rows, and a syndrome step adds each covering check's dot product with the
@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dynamics, residues
-from .codes import GroupCode, dual, restriction, shorten
+from .codes import GroupCode, dual, pivot_rows, restriction, shorten
 from .residues import Subgroup, howell_form
 
 
@@ -87,8 +87,8 @@ class MachineTrace:
 
 
 class _Section(NamedTuple):
-    """The observer's data at cut k, from one Howell pass over the code's basis
-    with the columns in the order W = [k-L, k), block k, the rest.
+    """The observer's data at cut k, from one ``pivot_rows`` pass over the
+    code's basis with the times in the order W = [k-L, k), k, the rest.
 
     The rows that pivot in W restrict to a Howell basis of C_{|W}.  Each is
     kept, for ``residues.reduce_ints``, as its W part from the pivot on
@@ -107,46 +107,19 @@ class _Section(NamedTuple):
 
 def _section(code: GroupCode, lo: int, k: int) -> _Section:
     layout = code.layout
-    M, n, starts = layout.modulus, layout.total_dim, layout.starts
-    a, b = starts[lo], starts[k]
-    c = starts[min(k + 1, layout.axis_len)]  # block k is [b, c), empty at k = N
-    perm = [*range(a, c), *range(a), *range(c, n)]
+    M, N, starts = layout.modulus, layout.axis_len, layout.starts
+    a, b, c = starts[lo], starts[k], starts[min(k + 1, N)]  # block k is [b, c)
     # basis rows that pivot from c on vanish on W and block k: they add
     # nothing to either restriction, and any lift is as good as another
     top = sum(1 for col, _ in code.carrier.pivots if col < c)
+    order = [*range(lo, min(k + 1, N)), *range(lo), *range(k + 1, N)]
     lifts, ending = [], []
-    for row in howell_form(M, code.carrier.basis[:top, perm]).tolist():
-        p = next(i for i, x in enumerate(row) if x)
-        if p < b - a:
-            full = [0] * n
-            for j, x in zip(perm, row):
-                full[j] = -x % M
-            lifts.append((p, row[p], row[p:b - a] + full))
-        elif p < c - a:
-            ending.append(row[b - a:c - a])
-    y = None
-    if k < layout.axis_len:
-        y = Subgroup(M, np.array(ending, dtype=object).reshape(len(ending), c - b),
-                     c - b, _canonical=True)
-    return _Section(b - a, lifts, y)
-
-
-def _label_reducer(modulus: int, ambient: int, start: int, cut: dynamics.Cut) -> Subgroup:
-    """C_{:[0,k)} + C_{:[k,N)} at a cut k whose blocks before k fill the first
-    ``start`` coordinates.
-
-    The summands have disjoint supports, and the future rows are the tail of
-    the code's Howell basis, so one Howell form of the past rows on their
-    ``start`` coordinates, stacked over the future rows, is the Howell form
-    of the sum.
-    """
-    M, n, s = modulus, ambient, start
-    past = []
-    if cut.past:
-        past = howell_form(M, np.array([row[:s] for row in cut.past], dtype=object)).tolist()
-    rows = [row + [0] * (n - s) for row in past] + list(cut.future)
-    return Subgroup(M, np.array(rows, dtype=object).reshape(len(rows), n), n,
-                    _canonical=True)
+    for i, col, d, row in pivot_rows(layout, code.carrier.basis[:top], order):
+        if i < k - lo:
+            lifts.append((col - a, d, row[col:b] + [-x % M for x in row]))
+        elif i == k - lo:
+            ending.append(row[b:c])
+    return _Section(b - a, lifts, Subgroup.from_howell(M, ending, c - b) if k < N else None)
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -163,11 +136,9 @@ class StateObserver:
     def __init__(self, code: GroupCode):
         self.code = code
         self.memory = machine_memory(code)
-        layout = code.layout
-        M, n, N = layout.modulus, layout.total_dim, layout.axis_len
+        N = code.layout.axis_len
         # label reducers C_{:[0,k)} + C_{:[k,N)} and sections, at each cut k
-        self._denoms = [_label_reducer(M, n, layout.starts[k], cut)
-                        for k, cut in enumerate(dynamics.cut_rows(code))]
+        self._denoms = [dynamics.cut_sum(code, k) for k in range(N + 1)]
         self._sections = [_section(code, max(0, k - self.memory), k)
                           for k in range(N + 1)]
 

@@ -30,15 +30,11 @@ tail of each row from its leading column on; numpy only holds
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .snf import _xgcd, lattice_quotient_invariants
-
-
-class OrderExceedsCap(Exception):
-    """Enumeration was asked for more elements than its cap allows."""
 
 
 def check_modulus(modulus: int) -> int:
@@ -238,6 +234,14 @@ class Subgroup:
         return cls(modulus, np.eye(ambient, dtype=object), ambient,
                    _canonical=True)
 
+    @classmethod
+    def from_howell(cls, modulus: int, rows: Sequence[Sequence[int]],
+                    ambient: int) -> "Subgroup":
+        """The subgroup whose Howell basis is ``rows``, int rows that already
+        form a Howell form."""
+        return cls(modulus, np.array(rows, dtype=object).reshape(len(rows), ambient),
+                   ambient, _canonical=True)
+
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -302,24 +306,6 @@ class Subgroup:
         """Exact number of elements of the subgroup."""
         return prod(self.modulus // d for _, d in self._pivots)
 
-    def enumerate(self, cap: int = 1 << 20) -> Iterator[np.ndarray]:
-        """Yield every element exactly once (unique pivot-coefficient sweep)."""
-        if self.order() > cap:
-            raise OrderExceedsCap(f"subgroup order {self.order()} exceeds cap {cap}")
-        M = self.modulus
-        out = np.zeros(self.ambient, dtype=object)
-
-        def rec(i: int, acc: np.ndarray) -> Iterator[np.ndarray]:
-            if i == self.num_generators:
-                yield acc % M
-                return
-            _, d = self._pivots[i]
-            row = self.basis[i]
-            for t in range(M // d):
-                yield from rec(i + 1, acc + t * row)
-
-        yield from rec(0, out)
-
     def _check_compatible(self, other: "Subgroup") -> None:
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
@@ -327,10 +313,11 @@ class Subgroup:
             raise ValueError("ambient dimension mismatch")
 
 
-def span(modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
-         ambient: int) -> Subgroup:
-    """Howell-canonical subgroup spanned by ``rows`` inside (Z_M)^ambient."""
-    return Subgroup.span(modulus, rows, ambient)
+def howell_rows(modulus: int, rows: Sequence[Sequence[int]],
+                ambient: int) -> list[list[int]]:
+    """``howell_form`` of int rows in [0, M), as int rows."""
+    return howell_form(modulus, np.array(rows, dtype=object).reshape(
+        len(rows), ambient)).tolist()
 
 
 def add(h1: Subgroup, h2: Subgroup) -> Subgroup:
@@ -381,14 +368,13 @@ def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
 def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of the finite abelian group a/b.
 
-    Requires b <= a.  Both groups are identified with integer lattices between
-    M*Z^n and Z^n; the quotient's elementary divisors come from an integer
-    Smith normal form, which sidesteps the zero divisors of Z_M.  Unit factors
-    are dropped, so the trivial group is ().
+    Requires b <= a: the lattice solve in ``snf`` raises ``ValueError`` for
+    a row of b outside a.  Both groups are identified with integer lattices
+    between M*Z^n and Z^n; the quotient's elementary divisors come from an
+    integer Smith normal form, which sidesteps the zero divisors of Z_M.  Unit
+    factors are dropped, so the trivial group is ().
     """
     a._check_compatible(b)
-    if not a.contains_subgroup(b):
-        raise ValueError("quotient_invariants requires b to be a subgroup of a")
     return lattice_quotient_invariants(a.modulus, a.ambient,
                                        a.basis.tolist(), b.basis.tolist())
 

@@ -60,7 +60,8 @@ def solve_upper_triangular(basis: Matrix, target: Sequence[int]) -> list[int]:
         if rest[j]:
             q, r = divmod(rest[j], basis[j][j])
             if r:
-                raise ValueError("target is not in the lattice")
+                raise ValueError("target is not in the lattice: a quotient a/b "
+                                 "requires b to be a subgroup of a")
             x[j] = q
             rest[j:] = [a - q * b for a, b in zip(rest[j:], basis[j][j:])]
     return x
@@ -131,7 +132,8 @@ def lattice_quotient_invariants(modulus: int, ambient: int,
     """Invariant factors of L_A / L_B, where L_X = span_Z(X) + M*Z^ambient.
 
     Both row sets must be Howell forms over Z_M (see ``lifted_howell_basis``).
-    Callers guarantee span(b) <= span(a) over Z_M, which makes L_B <= L_A.
+    Requires span(b) <= span(a) over Z_M, which makes L_B <= L_A: a row of
+    b outside it fails the lattice solve with ``ValueError``.
 
     Row c of the change of basis H_B H_A^{-1} is the unit vector e_c wherever
     the two lifted bases share row c; row operations with it clear column c

@@ -132,11 +132,3 @@ def restrict_columns(h: Subgroup, layout: SymbolLayout,
         raise ValueError("cannot restrict to an empty time set")
     return Subgroup(h.modulus, h.basis[:, idx], len(idx))
 
-
-def embed_zero(layout: SymbolLayout, times: Iterable[int],
-               v: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Place a restricted vector in its blocks, zeros elsewhere."""
-    idx = layout.coords(times)
-    out = np.zeros(layout.total_dim, dtype=object)
-    out[idx] = residues.as_residue_vector(layout.modulus, v, len(idx))
-    return out

@@ -9,6 +9,7 @@ import pytest
 
 from groupcodes import dynamics as dyn
 from groupcodes import machines as mc
+from groupcodes import oracle
 from groupcodes import verify
 from groupcodes.codes import GroupCode, dual, restriction, shorten
 from groupcodes.convolutional import ConvSpec, window
@@ -93,8 +94,9 @@ def test_encoder_bijective_onto_code(pairs8, repetition6):
         code = wc.code
         enc = mc.ObserverEncoder(code)
         words = set()
-        for combo in itertools.product(*[list(g.enumerate()) for g in enc.input_groups]):
-            w, _ = enc.encode([tuple(map(int, g)) for g in combo])
+        for combo in itertools.product(*[oracle.subgroup_elements(g)
+                                         for g in enc.input_groups]):
+            w, _ = enc.encode(combo)
             words.add(tuple(map(int, w)))
         assert len(words) == code.order()
 

@@ -16,7 +16,7 @@ def test_hermite_solve_roundtrip():
             n = rng.randint(1, 4)
             rows = [[rng.randrange(M) for _ in range(n)]
                     for _ in range(rng.randint(0, n + 1))]
-            h = residues.span(M, rows, n)
+            h = residues.Subgroup.span(M, rows, n)
             howell = [list(map(int, r)) for r in h.basis]
             basis = snf.lifted_howell_basis(M, n, howell)
             assert all(basis[i][j] == 0 for i in range(n) for j in range(i))
@@ -84,11 +84,11 @@ def test_quotient_invariants_match_sympy_smith(modulus):
     shared = differing = 0
     for _ in range(25):
         n = rng.randint(1, 7)
-        a = residues.span(M, [[rng.randrange(M) for _ in range(n)]
-                              for _ in range(rng.randint(1, n + 1))], n)
+        a = residues.Subgroup.span(M, [[rng.randrange(M) for _ in range(n)]
+                                       for _ in range(rng.randint(1, n + 1))], n)
         scales = [rng.choice((1, 1, 0, rng.randrange(M))) for _ in a.basis]
-        b = residues.span(M, [[c * x for x in row]
-                              for c, row in zip(scales, a.basis.tolist())], n)
+        b = residues.Subgroup.span(M, [[c * x for x in row]
+                                       for c, row in zip(scales, a.basis.tolist())], n)
         ha = snf.lifted_howell_basis(M, n, a.basis.tolist())
         hb = snf.lifted_howell_basis(M, n, b.basis.tolist())
         same = sum(ra == rb for ra, rb in zip(ha, hb))

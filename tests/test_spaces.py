@@ -3,7 +3,7 @@
 import pytest
 
 from groupcodes.residues import Subgroup
-from groupcodes.spaces import Interval, SymbolLayout, embed_zero, restrict_columns
+from groupcodes.spaces import Interval, SymbolLayout, restrict_columns
 
 
 def test_coords_spec_examples():
@@ -24,21 +24,6 @@ def test_out_of_range_time():
     lay = SymbolLayout.uniform(2, 3)
     with pytest.raises(ValueError):
         lay.coords({3})
-
-
-def test_embed_restrict_roundtrip():
-    lay = SymbolLayout(4, (2, 1, 2))
-    j = lay.subset({0, 2})
-    v = [1, 2, 3, 0]
-    full = embed_zero(lay, j, v)
-    assert full.tolist() == [1, 2, 0, 3, 0]
-    assert embed_zero(lay, frozenset(), []).tolist() == [0] * 5
-    assert embed_zero(lay, lay.full_subset(), [1, 2, 3, 0, 1]).tolist() == [1, 2, 3, 0, 1]
-
-
-def test_embed_zero_spec_example():
-    lay = SymbolLayout.uniform(2, 3)
-    assert embed_zero(lay, {2}, [1]).tolist() == [0, 0, 1]
 
 
 def test_restrict_columns_full_space_memoryless():

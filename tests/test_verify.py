@@ -79,9 +79,9 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    cut_rows, ending, observer_init, encoder_init = (
+    cut_rows, ending, observer_init, encoder_init, state_at, skips = (
         dyn.cut_rows, dyn.ending_symbols, mc.StateObserver.__init__,
-        mc.ObserverEncoder.__init__)
+        mc.ObserverEncoder.__init__, dyn.state_at, dyn._chain_skips)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -163,6 +163,12 @@ def _planted_faults():
         (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
         (dyn, "cut_rows", short_past, "interval-test-equivalence"),
         (dyn, "ending_symbols", short_ending, "granule-factorization"),
+        (dyn, "state_at",  # the cut read one time late
+         lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
+         "state-size-factorization"),
+        (dyn, "_chain_skips",  # L^{j,k} one level short
+         lambda before, after, j: skips(before, after, j)[:3] + (min(max(j - 1, 0), after),),
+         "chain-granule-consistency"),
         (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
         (mc.ObserverEncoder, "__init__", short_extension, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
