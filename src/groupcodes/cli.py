@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from random import Random
 
 from . import dynamics, machines, oracle, specfile, verify
@@ -49,9 +50,10 @@ def _analysis(loaded: specfile.LoadedCode, cut: int | None,
         raise specfile.SpecFileError("margin leaves no interior")
     levels = min(max(m, 1), n - 1)
     state = dynamics.state_at(code, k)
-    chains = dynamics.output_chains(code, min(k, n - 1), levels)
-    table = dynamics.granule_table(
-        code, times=[t for t in (k - 1, k) if 0 <= t < n], max_level=levels)
+    # F_j/F_{j-1} ~ Gamma_{[t,t+j]} and the chain's Phi read give the granules
+    at = {t: dynamics.output_chains(code, t, levels) for t in (k - 1, k)}
+    keys = [(t, j) for t in at for j in range(min(levels, n - 1 - t) + 1)]
+    chains = at[k]
     return {
         "format_version": specfile.FORMAT_VERSION,
         "name": loaded.name,
@@ -67,10 +69,10 @@ def _analysis(loaded: specfile.LoadedCode, cut: int | None,
         "state_order": state.order,
         "controller_memory": dynamics.controllability_index(code, m),
         "observer_memory": dynamics.observability_index(code, m),
-        "controller_granules": {f"{t},{j}": list(v)
-                                for (t, j), v in sorted(table.controller.items())},
-        "observer_granules": {f"{t},{j}": list(v)
-                              for (t, j), v in sorted(table.observer.items())},
+        "controller_granules": {f"{t},{j}": list(at[t].first_quotients[j])
+                                for t, j in keys},
+        "observer_granules": {f"{t},{j}": list(at[t].observer_granules[j])
+                              for t, j in keys},
         "chains_at_cut": {
             "time": chains.time,
             "first_output_orders": [g.order() for g in chains.first_output],
@@ -135,7 +137,7 @@ def cmd_encode(args) -> int:
     loaded = specfile.load(args.file)
     enc = machines.ObserverEncoder(loaded.code)
     if args.inputs:
-        raw = json.loads(open(args.inputs).read())
+        raw = specfile.parse_json(Path(args.inputs).read_text(), "inputs file")
         if not isinstance(raw, list):
             raise specfile.SpecFileError("inputs file must be a JSON list")
         inputs = [tuple(v) if isinstance(v, list) else (v,) for v in raw]

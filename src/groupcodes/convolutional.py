@@ -11,7 +11,8 @@ The split is load-bearing: autonomous codes (repetition-style behaviors) have
 no finite-support generators at all, so they cannot be windowed from shifts.
 
 ``interior_report`` extracts the boundary-free numbers of a windowed code
-(state, memories, granules, chains at the central time); by interior shift
+(state, memories, and the chains at the central time, whose successive
+quotients give its granules); by interior shift
 invariance these are independent of the axis length once the margin clears
 the generator span, which is what makes them comparable across window sizes.
 """
@@ -139,19 +140,18 @@ def interior_report(code: GroupCode, margin: int, levels: int | None = None) -> 
         raise ValueError("axis too short for the requested interior margin")
     center = n // 2
     levels = margin if levels is None else levels
-    gammas = tuple(dynamics.controller_granule(code, center, j)
-                   for j in range(0, levels + 1))
-    phis = tuple(dynamics.observer_granule(code, center, j)
-                 for j in range(0, levels + 1))
+    if not 0 <= levels <= n - 1 - center:
+        raise ValueError(f"granule levels 0..{levels} at time {center} "
+                         f"not inside axis of length {n}")
     chains = dynamics.output_chains(code, center, levels)
     return InteriorReport(
         state=dynamics.state_at(code, center).invariants,
         controller_memory=dynamics.controllability_index(code, margin),
         observer_memory=dynamics.observability_index(code, margin),
-        controller_granules=gammas,
-        observer_granules=phis,
+        controller_granules=chains.first_quotients,
+        observer_granules=chains.observer_granules,
         input_group_order=chains.first_output_group.order(),
-        output_group_order=restriction(code, frozenset({center})).order(),
+        output_group_order=chains.dual_last[0].order(),
         syndrome_group=chains.syndrome_group,
         first_quotients=chains.first_quotients,
         last_quotients=chains.last_quotients,

@@ -22,8 +22,10 @@ observability one pass over the window, whose order is |C_{|[m,n)}|) is a pass
 of its own.  Phi, ordinary or end-around, comes from two passes over the
 interval (``ending_symbols``), with no dual.  F_k is read off the code's
 basis, and the four output chains off two passes, one per direction, each
-nesting all its levels.  The routes that the theorems equate with those are
-kept for the theorem battery: ``state_space_routes``,
+nesting all its levels; their successive quotients are the granules
+Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``).  The
+routes that the theorems equate with those are kept for the theorem battery:
+the one-interval granule functions, ``state_space_routes``,
 ``controllability_tests`` and ``observability_tests``,
 ``controllable_subcode`` (spans of ``span_profile`` rows),
 ``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode`` (C^j as an
@@ -352,23 +354,6 @@ def end_around_dual_check(code: GroupCode, m: int, n: int) -> bool:
     return phi == controller_granule(code, m, n - m)
 
 
-@dataclass(frozen=True)
-class GranuleTable:
-    """Invariant factors of Gamma and Phi per (time, level)."""
-
-    controller: dict[tuple[int, int], Invariants]
-    observer: dict[tuple[int, int], Invariants]
-
-
-def granule_table(code: GroupCode, times, max_level: int) -> GranuleTable:
-    """Gamma and Phi on [k, k+j] for k in ``times`` and j <= ``max_level``."""
-    n = code.layout.axis_len
-    keys = [(k, j) for k in sorted(code.layout.subset(times))
-            for j in range(0, min(max_level, n - 1 - k) + 1)]
-    return GranuleTable({key: controller_granule(code, *key) for key in keys},
-                        {key: observer_granule(code, *key) for key in keys})
-
-
 def state_order_from_controller_granules(code: GroupCode, k: int) -> int:
     """Product of the orders of the controller granules active at cut k:
     all in-range intervals straddling the boundary between k-1 and k."""
@@ -529,6 +514,7 @@ class ChainReport:
     last_quotients: tuple[Invariants, ...]   # L_j/L_{j-1} ~ Gamma_{[k-j,k]}
     dual_first_quotients: tuple[Invariants, ...]  # F^{j-1}/F^j ~ Phi_{[k-j,k]}
     dual_last_quotients: tuple[Invariants, ...]   # L^{j-1}/L^j ~ Phi_{[k,k+j]}
+    observer_granules: tuple[Invariants, ...]     # Phi_{[k,k+j]}, j = 0..L
     first_output_group: Subgroup             # F_k
     last_output_group: Subgroup              # L_k
     syndrome_group: Invariants               # G_k / F_k
@@ -592,14 +578,19 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     first, dual_first, last, dual_last = zip(*(
         (a(f), a(df), b(la), b(dl))
         for f, df, la, dl in (_chain_skips(k, N - 1 - k, j) for j in range(cap + 1))))
-    trivial = (Subgroup.trivial(code.layout.modulus, code.layout.widths[k]),)
+    M, w = code.layout.modulus, code.layout.widths[k]
+    trivial = (Subgroup.trivial(M, w),)
+    dual_last_quotients = tuple(map(quotient_invariants, dual_last, dual_last[1:]))
     return ChainReport(
         time=k, first_output=first, last_output=last,
         dual_first=dual_first, dual_last=dual_last,
         first_quotients=tuple(map(quotient_invariants, first, trivial + first)),
         last_quotients=tuple(map(quotient_invariants, last, trivial + last)),
         dual_first_quotients=tuple(map(quotient_invariants, dual_first, dual_first[1:])),
-        dual_last_quotients=tuple(map(quotient_invariants, dual_last, dual_last[1:])),
+        dual_last_quotients=dual_last_quotients,
+        # Phi_{[k,k]} is the symbol group modulo L^{0,k} = C_{|{k}}
+        observer_granules=(quotient_invariants(Subgroup.full(M, w), dual_last[0]),
+                           *dual_last_quotients),
         first_output_group=first_output_group(code, k),
         last_output_group=b(N - 1 - k),
         syndrome_group=syndrome_group(code, k))
@@ -612,8 +603,7 @@ def chain_granule_consistency_check(code: GroupCode, k: int, level: int) -> bool
     for j in range(0, level + 1):
         if k + j <= code.layout.axis_len - 1:
             ok &= report.first_quotients[j] == controller_granule(code, k, j)
-            if j >= 1:
-                ok &= report.dual_last_quotients[j - 1] == observer_granule(code, k, j)
+            ok &= report.observer_granules[j] == observer_granule(code, k, j)
         if k - j >= 0:
             ok &= report.last_quotients[j] == controller_granule(code, k - j, j)
             if j >= 1:

@@ -298,10 +298,6 @@ class Subgroup:
         M = self.modulus
         return not any(reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient)))
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
-
     def order(self) -> int:
         """Exact number of elements of the subgroup."""
         return prod(self.modulus // d for _, d in self._pivots)

@@ -53,11 +53,17 @@ def _int_list(x, msg: str) -> list[int]:
     return list(x)
 
 
-def loads(text: str) -> LoadedCode:
+def parse_json(text: str, what: str):
+    """``json.loads``; malformed text, and text nested past the parser's
+    recursion limit (a ``RecursionError``), fail as a malformed ``what``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpecFileError(f"not valid JSON: {e}") from e
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise SpecFileError(f"{what} is not valid JSON: {e}") from e
+
+
+def loads(text: str) -> LoadedCode:
+    doc = parse_json(text, "spec")
     _require(isinstance(doc, dict), "top level must be an object")
     version = doc.get("format_version", FORMAT_VERSION)
     _require(version == FORMAT_VERSION, f"unsupported format_version {version}")
@@ -67,6 +73,7 @@ def loads(text: str) -> LoadedCode:
     modulus = doc.get("modulus")
     _require(_is_int(modulus) and modulus >= 2, "modulus must be an int >= 2")
     name = doc.get("name", "")
+    _require(isinstance(name, str), "name must be a string")
     margin = doc.get("margin")
     _require(margin is None or _is_int(margin), "margin must be an int")
     if kind == "explicit":
@@ -161,15 +168,13 @@ def dumps_convolutional(spec: ConvSpec, axis_len: int,
 
 
 def load_word(path: str | Path, expect_len: int, modulus: int) -> list[int]:
-    """Read a symbol word: a JSON list of ints, or whitespace-separated ints."""
-    text = Path(path).read_text().strip()
+    """Read a symbol word: whitespace-separated ints (one int is a one-entry
+    word), or a JSON list of ints."""
+    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            data = [int(tok) for tok in text.split()]
-        except ValueError as e:
-            raise SpecFileError(f"cannot parse word file {path}: {e}") from e
+        data = [int(tok) for tok in text.split()]
+    except ValueError:
+        data = parse_json(text, f"word file {path}")
     if isinstance(data, dict) and "word" in data:
         data = data["word"]
     _require(isinstance(data, list) and all(_is_int(v) for v in data),

@@ -3,7 +3,8 @@
 One seeded trial draws a random layout and code (plus auxiliary subsets,
 intervals, and conditioning codes) and runs the full battery of theorem
 checks on it.  Any mismatch is reported with a reproducible artifact: the
-seed, trial index, theorem name, and the raw generators involved.
+seed, trial index, theorem name, and the raw generators involved.  A check
+that raises fails its theorem the same way, naming the exception.
 
 The same runner backs the ``verify-duality`` CLI command and the acceptance
 suite, so the command-line surface and the tests cannot drift apart.
@@ -290,7 +291,10 @@ def run_trials(seed: int = 1, trials: int = 200,
         rng = Random(f"{seed}:{i}")
         code = random_code(rng, tuple(moduli), max_axis, max_width)
         for name, check in checks.items():
-            detail = check(rng, code)
+            try:
+                detail = check(rng, code)
+            except Exception as e:  # a route that raises fails its theorem
+                detail = {"exception": type(e).__name__, "message": str(e)}
             summary.checks_run[name] = summary.checks_run.get(name, 0) + 1
             if detail is not None:
                 detail = {**detail, "code": _code_artifact(code)}

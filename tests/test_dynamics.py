@@ -173,10 +173,12 @@ def test_granules_match_oracle():
                     oracle.observer_granule(c, elems, times, k, k + j)
 
 
-def test_granule_table(rate13):
-    table = dyn.granule_table(rate13.code, [6], 2)
-    assert table.controller[(6, 0)] == ()
-    assert table.observer[(6, 1)] == (2, 4)
+def test_chain_granule_reads(rate13):
+    report = dyn.output_chains(rate13.code, 6, 2)
+    assert report.first_quotients[0] == ()
+    assert report.observer_granules[1] == (2, 4)
+    assert report.observer_granules == tuple(
+        dyn.observer_granule(rate13.code, 6, j) for j in range(3))
     iv = Interval(8, 2, wraparound=True)
     assert dyn.end_around_controller_granule(rate13.code, iv) == \
         dyn.observer_granule(rate13.code, 2, 6)

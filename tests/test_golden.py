@@ -23,6 +23,8 @@ SPECS = sorted(p.stem for p in (ROOT / "codes").glob("*.code"))
 COMMANDS = {
     "analyze.json": ["analyze", "{spec}", "--json"],
     "analyze-cut3.json": ["analyze", "{spec}", "--cut", "3", "--json"],
+    "analyze-edge.json": ["analyze", "{spec}", "--cut", "5", "--margin", "3",
+                          "--json"],
     "dual.code": ["dual", "{spec}"],
     "encode.json": ["encode", "{spec}", "--random", "7", "--json"],
     "syndrome.json": ["syndrome", "{spec}", "--word", "{word}", "--json"],

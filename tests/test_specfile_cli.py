@@ -62,6 +62,7 @@ def test_malformed_documents():
         json.dumps({"kind": "explicit", "modulus": 4, "axis": 2,
                     "generators": [[1, 2, 3]]}),
         json.dumps({"format_version": 7, "kind": "explicit", "modulus": 4, "axis": 1}),
+        json.dumps({"kind": "explicit", "modulus": 4, "axis": 1, "name": ["x"]}),
     ]:
         with pytest.raises(specfile.SpecFileError):
             specfile.loads(doc)
@@ -200,3 +201,32 @@ def test_encode_inputs_must_be_ints(tmp_path, capsys):
         inputs.write_text(json.dumps([good, 0, 0, 0, 0, 0]))
         assert main(["encode", spec, "--inputs", str(inputs)]) == 0
     assert capsys.readouterr().out.count("codeword:") == 2
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit raises RecursionError,
+    not JSONDecodeError; every reader reports it as a malformed file."""
+    import pathlib
+    spec = str(pathlib.Path(__file__).resolve().parents[1] / "codes" / "repetition.code")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (["analyze", str(deep)],
+                 ["syndrome", spec, "--word", str(deep)],
+                 ["encode", spec, "--inputs", str(deep)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "recursion" in captured.err and captured.out == ""
+
+
+def test_one_int_word_file(tmp_path, capsys):
+    """A word file holding one int is a one-entry word, as whitespace-separated
+    ints, although it parses as a JSON int."""
+    spec = tmp_path / "one.code"
+    spec.write_text(json.dumps({"kind": "explicit", "modulus": 4, "axis": 1,
+                                "generators": [[2]]}))
+    word = tmp_path / "word.txt"
+    for text, member in (("6", True), ("1", False)):
+        word.write_text(text)
+        assert specfile.load_word(word, 1, 4) == [int(text) % 4]
+        assert main(["syndrome", str(spec), "--word", str(word), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["member"] is member

@@ -1,5 +1,7 @@
 """The randomized theorem harness itself."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from groupcodes import dynamics as dyn
 from groupcodes import machines as mc
 from groupcodes import residues as R
 from groupcodes import snf, verify
+from groupcodes.cli import main
 from groupcodes.residues import Subgroup
 from groupcodes.spaces import Interval
 
@@ -79,9 +82,10 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    cut_rows, ending, observer_init, encoder_init, state_at, skips = (
+    cut_rows, ending, observer_init, encoder_init, state_at, skips, chains = (
         dyn.cut_rows, dyn.ending_symbols, mc.StateObserver.__init__,
-        mc.ObserverEncoder.__init__, dyn.state_at, dyn._chain_skips)
+        mc.ObserverEncoder.__init__, dyn.state_at, dyn._chain_skips,
+        dyn.output_chains)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -136,6 +140,11 @@ def _planted_faults():
         return (code.order() * dyn._shortened_order(code, m, min(n + 1, N))
                 == dyn._shortened_order(code, 0, n) * dyn._shortened_order(code, m, N))
 
+    def phi0_off_input(code, k, max_level=None):  # Phi_{[k,k]} as G_k / F_k
+        report = chains(code, k, max_level)
+        return dataclasses.replace(report, observer_granules=(
+            report.syndrome_group, *report.observer_granules[1:]))
+
     def short_smith(modulus, ambient, a_rows, b_rows):  # last differing row dropped
         ha = snf.lifted_howell_basis(modulus, ambient, a_rows)
         hb = snf.lifted_howell_basis(modulus, ambient, b_rows)
@@ -169,6 +178,7 @@ def _planted_faults():
         (dyn, "_chain_skips",  # L^{j,k} one level short
          lambda before, after, j: skips(before, after, j)[:3] + (min(max(j - 1, 0), after),),
          "chain-granule-consistency"),
+        (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
         (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
         (mc.ObserverEncoder, "__init__", short_extension, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
@@ -199,3 +209,28 @@ def test_battery_catches_planted_route_faults(monkeypatch):
         monkeypatch.undo()
         assert any(f.theorem == check for f in s.failures), route
     _clear_memos()
+
+
+def test_raising_check_is_a_theorem_failure(monkeypatch, capsys):
+    """A route that raises fails the theorem whose check called it: the run
+    goes on, prints its JSON and exits 4, and each failure names the exception
+    and carries the code."""
+    ending = dyn.ending_symbols
+
+    def whole_group(code, times, h):  # Y(S) is every symbol for |S| > 2
+        if len(times) > 2:
+            return Subgroup.full(code.layout.modulus, code.layout.widths[h])
+        return ending(code, times, h)
+
+    _clear_memos()
+    monkeypatch.setattr(dyn, "ending_symbols", whole_group)
+    assert main(["verify-duality", "--trials", "5", "--json"]) == 4
+    monkeypatch.undo()
+    _clear_memos()
+    raised = [f for f in json.loads(capsys.readouterr().out)["failures"]
+              if "exception" in f["detail"]]
+    assert raised
+    for f in raised:
+        assert f["theorem"] in verify.ALL_CHECKS
+        assert f["detail"]["exception"] == "ValueError" and f["detail"]["message"]
+        assert f["detail"]["code"]["basis"] is not None
