@@ -149,7 +149,7 @@ def cmd_encode(args) -> int:
     word, trace = enc.encode(inputs)
     payload = {
         "format_version": specfile.FORMAT_VERSION,
-        "codeword": word.tolist(),
+        "codeword": word,
         "symbols": [list(s) for s in loaded.code.layout.split_symbols(word)],
         "trace": trace.to_dict(),
     }
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (specfile.SpecFileError, FileNotFoundError, ValueError,
+    except (specfile.SpecFileError, OSError, ValueError,
             machines.InputNotInInputGroup,
             machines.WindowNotInRestriction) as e:
         print(f"error: {e}", file=sys.stderr)

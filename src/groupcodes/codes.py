@@ -5,13 +5,14 @@ On a finite axis every subgroup is closed, so the whole theory is exact set
 algebra: duals, restrictions (puncturing), subcodes (shortening), and
 conditioned codes.
 
-Each operation is one Howell projection of one matrix.  Restrictions, sums
-(``lift_restriction`` = C + W_{I-J}, ``cut_product``) and the dual are one
-``Subgroup`` pass each.  ``pivot_rows`` is the one Howell pass over a code's
-basis with its times in a chosen order; ``shorten`` and the nested shortenings
-of ``dynamics`` and ``machines`` are read off it.  Conditioning takes the rows
-of one Howell form that vanish on a leading column block
-(``residues.zero_block_span``), and intersections are one Zassenhaus pass.
+Each operation is one Howell projection of one matrix.  A code's basis is a
+tuple of int tuples, and ``residues.howell_pass`` gives each Howell row with
+its pivot.  Restrictions, sums (``lift_restriction`` = C + W_{I-J},
+``cut_product``) and the dual are one pass each.  ``pivot_rows`` is the one
+Howell pass over a code's basis with its times in a chosen order; ``shorten``
+and the nested shortenings of ``dynamics`` and ``machines`` are read off it.
+Conditioning keeps the rows of one pass that pivot past a leading column
+block, and intersections are one Zassenhaus pass.
 
 Conventions that matter elsewhere:
 
@@ -29,10 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import residues, spaces
-from .residues import Subgroup
+from . import residues
+from .residues import Row, Subgroup
 from .spaces import SymbolLayout, TimeSubset
 
 
@@ -53,7 +52,7 @@ class GroupCode:
 
     @classmethod
     def from_generators(cls, layout: SymbolLayout,
-                        rows: Iterable[Sequence[int]] | np.ndarray) -> "GroupCode":
+                        rows: Iterable[Sequence[int]]) -> "GroupCode":
         return cls(layout, Subgroup.span(layout.modulus, rows, layout.total_dim))
 
     @classmethod
@@ -69,7 +68,7 @@ class GroupCode:
     def order(self) -> int:
         return self.carrier.order()
 
-    def contains(self, w: Sequence[int] | np.ndarray) -> bool:
+    def contains(self, w: Sequence[int]) -> bool:
         return self.carrier.contains(w)
 
     def invariants(self) -> tuple[int, ...]:
@@ -109,36 +108,36 @@ def dual(c: GroupCode) -> GroupCode:
     return GroupCode(c.layout, residues.orthogonal(c.carrier))
 
 
+def _howell_code(layout: SymbolLayout, rows: Sequence[Sequence[int]]) -> GroupCode:
+    """The code on ``layout`` spanned by int rows in [0, M), in one pass."""
+    M, n = layout.modulus, layout.total_dim
+    return GroupCode(layout, Subgroup(M, n, residues.howell_pass(M, rows, n)))
+
+
 def restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
     """Puncture: keep only the blocks of ``times`` (code on the restricted layout)."""
     ts = c.layout.subset(times)
     if not ts:
         raise ValueError("restriction to an empty time set")
-    return GroupCode(c.layout.restricted(ts),
-                     spaces.restrict_columns(c.carrier, c.layout, ts))
+    idx = c.layout.coords(ts)
+    return _howell_code(c.layout.restricted(ts),
+                        [[row[i] for i in idx] for row in c.carrier.basis])
 
 
-def pivot_rows(layout: SymbolLayout, rows: np.ndarray,
-               order: Sequence[int]) -> list[tuple[int, int, int, list[int]]]:
+def pivot_rows(layout: SymbolLayout, rows: Sequence[Row],
+               order: Sequence[int]) -> list[tuple[int, int, int, Row]]:
     """One Howell pass over ``rows`` with the blocks of the times in ``order``
     in that order, the other times dropped: (index in ``order`` of the pivot's
     time, pivot column, pivot entry, row) per Howell row, column and row in
     the layout's coordinates.  By the Howell property the rows that pivot past
     the first q times of ``order`` span the words of the pass's span that
     vanish on those q times."""
-    starts, cols, rank = layout.starts, [], []
+    starts, cols, rank = layout.starts, [], [0] * layout.total_dim
     for i, t in enumerate(order):
         cols += range(starts[t], starts[t + 1])
-        rank += [i] * layout.widths[t]
-    out, p = [], 0
-    for h in residues.howell_form(layout.modulus, rows[:, cols]).tolist():
-        while not h[p]:  # pivots increase down a Howell form
-            p += 1
-        row = [0] * layout.total_dim
-        for c, x in zip(cols[p:], h[p:]):
-            row[c] = x
-        out.append((rank[p], cols[p], h[p], row))
-    return out
+        rank[starts[t]:starts[t + 1]] = [i] * layout.widths[t]
+    return [(rank[c], c, d, row) for c, d, row in
+            residues.howell_pass(layout.modulus, rows, layout.total_dim, cols)]
 
 
 @lru_cache(maxsize=16384)
@@ -154,10 +153,9 @@ def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
     if ts == c.layout.full_subset():
         return c
     outside = sorted(c.layout.complement(ts))
-    rows = [row for i, _, _, row in pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts))
-            if i >= len(outside)]
-    return GroupCode(c.layout, Subgroup.from_howell(c.layout.modulus, rows,
-                                                    c.layout.total_dim))
+    rows = [(col, d, row) for i, col, d, row in
+            pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts)) if i >= len(outside)]
+    return GroupCode(c.layout, Subgroup(c.layout.modulus, c.layout.total_dim, rows))
 
 
 def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:
@@ -171,10 +169,9 @@ def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:
 def lift_restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
     """{w in W : w_{|J} in C_{|J}} = C + W_{I-J}, on the full layout."""
     n = c.layout.total_dim
-    outside = c.layout.coords(c.layout.complement(times))
-    free = np.eye(n, dtype=object)[outside]
-    return GroupCode(c.layout, Subgroup(c.layout.modulus,
-                                        np.vstack([c.carrier.basis, free]), n))
+    free = [[int(i == j) for j in range(n)]
+            for i in c.layout.coords(c.layout.complement(times))]
+    return _howell_code(c.layout, [*c.carrier.basis, *free])
 
 
 def cut_product(c: GroupCode, times: TimeSubset) -> GroupCode:
@@ -186,11 +183,11 @@ def cut_product(c: GroupCode, times: TimeSubset) -> GroupCode:
     ts = c.layout.subset(times)
     if not ts or ts == c.layout.full_subset():
         return c
-    on_j = np.zeros(c.layout.total_dim, dtype=bool)
-    on_j[c.layout.coords(ts)] = True
+    on_j = set(c.layout.coords(ts))
     b = c.carrier.basis
-    rows = np.vstack([np.where(on_j, b, 0), np.where(on_j, 0, b)])
-    return GroupCode(c.layout, Subgroup(c.layout.modulus, rows, c.layout.total_dim))
+    return _howell_code(c.layout,
+                        [[x if i in on_j else 0 for i, x in enumerate(row)] for row in b]
+                        + [[0 if i in on_j else x for i, x in enumerate(row)] for row in b])
 
 
 def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
@@ -198,7 +195,8 @@ def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
 
     D = full restriction gives back C; D = trivial gives the subcode C_{:J}.
     One pass over [[B_{|I-J}, B], [D, 0]] for a basis B of C: the first block
-    vanishes exactly on the words of C whose I-J part lies in D.
+    vanishes exactly on the words of C whose I-J part lies in D, and the rows
+    that pivot past it span them.
     """
     ts = c.layout.subset(times)
     comp = c.layout.complement(ts)
@@ -206,10 +204,11 @@ def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
         return c
     if d.layout != c.layout.restricted(comp):
         raise ValueError("conditioning code must live on the complement's layout")
-    b, db = c.carrier.basis, d.carrier.basis
-    lead = b[:, c.layout.coords(comp)]
-    mat = np.vstack([np.hstack([lead, b]),
-                     np.hstack([db, np.zeros((len(db), b.shape[1]), dtype=object)])])
-    return GroupCode(c.layout, Subgroup(
-        c.layout.modulus, residues.zero_block_span(c.layout.modulus, mat, lead.shape[1]),
-        c.layout.total_dim, _canonical=True))
+    M, n = c.layout.modulus, c.layout.total_dim
+    lead = c.layout.coords(comp)
+    w = len(lead)
+    zeros = (0,) * n
+    rows = ([(*(b[i] for i in lead), *b) for b in c.carrier.basis]
+            + [db + zeros for db in d.carrier.basis])
+    return GroupCode(c.layout, Subgroup(M, n, [
+        (p - w, e, row[w:]) for p, e, row in residues.howell_pass(M, rows, w + n) if p >= w]))

@@ -178,10 +178,13 @@ def interior_shift_invariance_check(wc: WindowedCode, width: int = 1) -> bool:
 
 def orthogonality_check(spec: ConvSpec, dual_taps: Sequence[Sequence[Sequence[int]]]) -> bool:
     """True iff every primal tap family is orthogonal to every shift of every
-    dual tap family under the Z_M inner product."""
+    dual tap family under the Z_M inner product.  A periodic pattern is tiled
+    across all times, a tap family vanishes outside its taps."""
     M = spec.modulus
     duals = tuple(_normalize_taps(M, spec.width, t) for t in dual_taps)
-    for g in spec.generators + spec.patterns:
+    families = ([(g, False) for g in spec.generators]
+                + [(p, True) for p in spec.patterns])
+    for g, periodic in families:
         glen = len(g)
         for h in duals:
             for rel in range(-len(h), glen + 1):
@@ -189,8 +192,8 @@ def orthogonality_check(spec: ConvSpec, dual_taps: Sequence[Sequence[Sequence[in
                 for d, sym in enumerate(h):
                     t = rel + d
                     gsym = None
-                    if g in spec.patterns:
-                        gsym = g[t % len(g)]
+                    if periodic:
+                        gsym = g[t % glen]
                     elif 0 <= t < glen:
                         gsym = g[t]
                     if gsym is not None:

@@ -42,8 +42,8 @@ controllability or observability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
                     lift_restriction, pivot_rows, restricted_subcode,
                     restriction, shorten)
-from .residues import Subgroup, quotient_invariants
+from .residues import Row, Subgroup, quotient_invariants
 from .spaces import Interval, TimeSubset
 
 
@@ -60,7 +60,6 @@ class InternalInconsistency(Exception):
 
 
 Invariants = tuple[int, ...]
-Row = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _trellis_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
     property the rows that end by time b span exactly C_{:[k,b]}.
     """
     order = [*range(k), *reversed(range(k, code.layout.axis_len))]
-    return [(order[i], d, tuple(row))
+    return [(order[i], d, row)
             for i, _, d, row in pivot_rows(code.layout, code.carrier.basis, order)
             if i >= k]
 
@@ -161,10 +160,10 @@ def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
 
 
 class Cut(NamedTuple):
-    """Howell rows of the prefix and suffix subcodes at one cut k."""
+    """Howell rows of the prefix subcode, and the orders of the prefix and
+    suffix subcodes, at one cut k."""
 
     past: tuple[Row, ...]    # spans C_{:[0,k)}
-    future: tuple[Row, ...]  # spans C_{:[k,N)}
     past_order: int
     future_order: int
 
@@ -182,13 +181,11 @@ def cut_rows(code: GroupCode) -> tuple[Cut, ...]:
     layout, carrier = code.layout, code.carrier
     M, N = layout.modulus, layout.axis_len
     time_of = [t for t in range(N) for _ in layout.block(t)]
-    fwd = [(time_of[c], d, tuple(row))
-           for (c, d), row in zip(carrier.pivots, carrier.basis.tolist())]
+    fwd = [(time_of[c], d) for c, d in carrier.pivots]
     back = _trellis_rows(code, 0)
     return tuple(Cut(tuple(row for t, _, row in back if t < k),
-                     tuple(row for t, _, row in fwd if t >= k),
                      prod(M // d for t, d, _ in back if t < k),
-                     prod(M // d for t, d, _ in fwd if t >= k))
+                     prod(M // d for t, d in fwd if t >= k))
                  for k in range(N + 1))
 
 
@@ -197,11 +194,13 @@ def cut_sum(code: GroupCode, k: int) -> Subgroup:
     future rows are the tail of the code's Howell basis, so the Howell form
     of the past rows on the coordinates before block k, stacked over them, is
     the sum's Howell form."""
-    layout, cut = code.layout, cut_rows(code)[k]
+    layout, carrier, past = code.layout, code.carrier, cut_rows(code)[k].past
     M, n, s = layout.modulus, layout.total_dim, layout.starts[k]
-    past = residues.howell_rows(M, [row[:s] for row in cut.past], s) if cut.past else []
-    return Subgroup.from_howell(
-        M, [row + [0] * (n - s) for row in past] + list(cut.future), n)
+    pad = (0,) * (n - s)
+    head = [(c, d, row + pad) for c, d, row in
+            residues.howell_pass(M, [row[:s] for row in past], s)] if past else []
+    return Subgroup(M, n, head + [(c, d, row) for (c, d), row in
+                                  zip(carrier.pivots, carrier.basis) if c >= s])
 
 
 @lru_cache(maxsize=4096)
@@ -301,9 +300,9 @@ def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
     property the rows that pivot at h span exactly those words.
     """
     block, rest = code.layout.block(h), sorted(times - {h})
-    rows = [row[block.start:block.stop] for i, _, _, row in
+    rows = [(col - block.start, d, row[block.start:block.stop]) for i, col, d, row in
             pivot_rows(code.layout, code.carrier.basis, rest + [h]) if i == len(rest)]
-    return Subgroup.from_howell(code.layout.modulus, rows, len(block))
+    return Subgroup(code.layout.modulus, len(block), rows)
 
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
@@ -502,26 +501,58 @@ def l_finite_check(code: GroupCode, level: int) -> bool:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """First/last-output chains at one time, their dual chains, and the
-    syndrome group, with successive quotients (which match granules)."""
+    """First/last-output chains at one time and their dual chains.  The
+    successive quotients (which match granules) and the syndrome group are
+    computed on first read."""
 
+    code: GroupCode = field(repr=False, compare=False)
     time: int
     first_output: tuple[Subgroup, ...]       # F_{j,k}, j = 0..L
     last_output: tuple[Subgroup, ...]        # L_{j,k}
     dual_first: tuple[Subgroup, ...]         # F^{j,k}, j = 0..L
     dual_last: tuple[Subgroup, ...]          # L^{j,k}
-    first_quotients: tuple[Invariants, ...]  # F_j/F_{j-1} ~ Gamma_{[k,k+j]}
-    last_quotients: tuple[Invariants, ...]   # L_j/L_{j-1} ~ Gamma_{[k-j,k]}
-    dual_first_quotients: tuple[Invariants, ...]  # F^{j-1}/F^j ~ Phi_{[k-j,k]}
-    dual_last_quotients: tuple[Invariants, ...]   # L^{j-1}/L^j ~ Phi_{[k,k+j]}
-    observer_granules: tuple[Invariants, ...]     # Phi_{[k,k+j]}, j = 0..L
-    first_output_group: Subgroup             # F_k
-    last_output_group: Subgroup              # L_k
-    syndrome_group: Invariants               # G_k / F_k
 
     @property
     def levels(self) -> int:
         return len(self.first_output) - 1
+
+    @cached_property
+    def first_quotients(self) -> tuple[Invariants, ...]:  # F_j/F_{j-1} ~ Gamma_{[k,k+j]}
+        return _successive_quotients(self.first_output)
+
+    @cached_property
+    def last_quotients(self) -> tuple[Invariants, ...]:  # L_j/L_{j-1} ~ Gamma_{[k-j,k]}
+        return _successive_quotients(self.last_output)
+
+    @cached_property
+    def dual_first_quotients(self) -> tuple[Invariants, ...]:  # F^{j-1}/F^j ~ Phi_{[k-j,k]}
+        return tuple(map(quotient_invariants, self.dual_first, self.dual_first[1:]))
+
+    @cached_property
+    def dual_last_quotients(self) -> tuple[Invariants, ...]:  # L^{j-1}/L^j ~ Phi_{[k,k+j]}
+        return tuple(map(quotient_invariants, self.dual_last, self.dual_last[1:]))
+
+    @cached_property
+    def observer_granules(self) -> tuple[Invariants, ...]:  # Phi_{[k,k+j]}, j = 0..L
+        # Phi_{[k,k]} is the symbol group modulo L^{0,k} = C_{|{k}}
+        top = self.dual_last[0]
+        return (quotient_invariants(Subgroup.full(top.modulus, top.ambient), top),
+                *self.dual_last_quotients)
+
+    @cached_property
+    def first_output_group(self) -> Subgroup:  # F_k
+        return first_output_group(self.code, self.time)
+
+    @cached_property
+    def syndrome_group(self) -> Invariants:  # G_k / F_k
+        return syndrome_group(self.code, self.time)
+
+
+def _successive_quotients(chain: tuple[Subgroup, ...]) -> tuple[Invariants, ...]:
+    """G_j/G_{j-1} for j = 0..L, with G_{-1} trivial."""
+    top = chain[0]
+    return tuple(map(quotient_invariants, chain,
+                     (Subgroup.trivial(top.modulus, top.ambient), *chain)))
 
 
 def _chain_pass(code: GroupCode, k: int, order: list[int]):
@@ -530,8 +561,8 @@ def _chain_pass(code: GroupCode, k: int, order: list[int]):
     of the rows that pivot past those q times, which span C_{:S}."""
     block, M = code.layout.block(k), code.layout.modulus
     rows = pivot_rows(code.layout, code.carrier.basis, [*order, k])
-    return cache(lambda q: Subgroup.span(
-        M, [row[block.start:block.stop] for i, _, _, row in rows if i >= q], len(block)))
+    return cache(lambda q: Subgroup(M, len(block), residues.howell_pass(
+        M, [row[block.start:block.stop] for i, _, _, row in rows if i >= q], len(block))))
 
 
 def _chain_skips(before: int, after: int, j: int) -> tuple[int, int, int, int]:
@@ -551,15 +582,9 @@ def first_output_group(code: GroupCode, k: int) -> Subgroup:
     pivot in block k, a Howell form, since the later rows vanish there and
     all of them span C_{:[k,N)} (``cut_rows``)."""
     carrier, block = code.carrier, code.layout.block(k)
-    at_k = [i for i, (c, _) in enumerate(carrier.pivots) if c in block]
-    return Subgroup(carrier.modulus, carrier.basis[at_k, block.start:block.stop],
-                    len(block), _canonical=True)
-
-
-def last_output_group(code: GroupCode, k: int) -> Subgroup:
-    """L_k = (C_{:[0,k]})_{|{k}}, off pass B."""
-    N = code.layout.axis_len
-    return _chain_pass(code, k, [*range(k + 1, N), *range(k)])(N - 1 - k)
+    return Subgroup(carrier.modulus, len(block),
+                    [(c - block.start, d, row[block.start:block.stop])
+                     for (c, d), row in zip(carrier.pivots, carrier.basis) if c in block])
 
 
 def syndrome_group(code: GroupCode, k: int) -> Invariants:
@@ -578,22 +603,8 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     first, dual_first, last, dual_last = zip(*(
         (a(f), a(df), b(la), b(dl))
         for f, df, la, dl in (_chain_skips(k, N - 1 - k, j) for j in range(cap + 1))))
-    M, w = code.layout.modulus, code.layout.widths[k]
-    trivial = (Subgroup.trivial(M, w),)
-    dual_last_quotients = tuple(map(quotient_invariants, dual_last, dual_last[1:]))
-    return ChainReport(
-        time=k, first_output=first, last_output=last,
-        dual_first=dual_first, dual_last=dual_last,
-        first_quotients=tuple(map(quotient_invariants, first, trivial + first)),
-        last_quotients=tuple(map(quotient_invariants, last, trivial + last)),
-        dual_first_quotients=tuple(map(quotient_invariants, dual_first, dual_first[1:])),
-        dual_last_quotients=dual_last_quotients,
-        # Phi_{[k,k]} is the symbol group modulo L^{0,k} = C_{|{k}}
-        observer_granules=(quotient_invariants(Subgroup.full(M, w), dual_last[0]),
-                           *dual_last_quotients),
-        first_output_group=first_output_group(code, k),
-        last_output_group=b(N - 1 - k),
-        syndrome_group=syndrome_group(code, k))
+    return ChainReport(code=code, time=k, first_output=first, last_output=last,
+                       dual_first=dual_first, dual_last=dual_last)
 
 
 def chain_granule_consistency_check(code: GroupCode, k: int, level: int) -> bool:

@@ -116,10 +116,10 @@ def _section(code: GroupCode, lo: int, k: int) -> _Section:
     lifts, ending = [], []
     for i, col, d, row in pivot_rows(layout, code.carrier.basis[:top], order):
         if i < k - lo:
-            lifts.append((col - a, d, row[col:b] + [-x % M for x in row]))
+            lifts.append((col - a, d, [*row[col:b], *(-x % M for x in row)]))
         elif i == k - lo:
-            ending.append(row[b:c])
-    return _Section(b - a, lifts, Subgroup.from_howell(M, ending, c - b) if k < N else None)
+            ending.append((col - b, d, row[b:c]))
+    return _Section(b - a, lifts, Subgroup(M, c - b, ending) if k < N else None)
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -190,12 +190,12 @@ class ObserverEncoder:
             M = g.modulus
             coeffs = [rng.randrange(M) for _ in range(g.num_generators)]
             v = [0] * g.ambient
-            for c, row in zip(coeffs, g.basis.tolist()):
+            for c, row in zip(coeffs, g.basis):
                 v = [(a + c * b) % M for a, b in zip(v, row)]
             out.append(tuple(v))
         return out
 
-    def encode(self, inputs: Sequence[Sequence[int]]) -> tuple[np.ndarray, MachineTrace]:
+    def encode(self, inputs: Sequence[Sequence[int]]) -> tuple[list[int], MachineTrace]:
         layout = self.code.layout
         n = layout.axis_len
         if len(inputs) != n:
@@ -224,7 +224,7 @@ class ObserverEncoder:
         if not self.code.contains(word):
             raise dynamics.InternalInconsistency(
                 "encoder produced a word outside the code")
-        return np.array(word, dtype=object), trace
+        return word, trace
 
     def _current_window(self, emitted: list[list[int]], k: int) -> list[int]:
         return [x for symbol in emitted[max(0, k - self.memory):k] for x in symbol]
@@ -253,7 +253,11 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]
             for row in profile[k][k + j]:
                 if any(residues.reduce_ints(M, tails, list(row))):
                     kept = howell_form(M, np.array(kept + [list(row)], dtype=object)).tolist()
-                    tails = residues.pivot_tails(kept)
+                    tails, p = [], 0
+                    for r in kept:  # pivots increase down a Howell form
+                        while not r[p]:
+                            p += 1
+                        tails.append((p, r[p], r[p:]))
                     checks.append((k, k + j, row))
                     if prod(M // d for _, d, _ in tails) == target:
                         return checks
@@ -356,7 +360,7 @@ def roundtrip_check(code: GroupCode, trials: int = 25,
     for _ in range(trials):
         coeffs = [rng.randrange(M) for _ in range(code.carrier.num_generators)]
         c = [0] * layout.total_dim
-        for q, row in zip(coeffs, code.carrier.basis.tolist()):
+        for q, row in zip(coeffs, code.carrier.basis):
             c = [(a + q * b) % M for a, b in zip(c, row)]
         while True:
             e = [rng.randrange(M) for _ in range(layout.total_dim)]

@@ -33,8 +33,7 @@ def subgroup_elements(h: Subgroup, cap: int = DEFAULT_ELEMENT_CAP) -> set[Vec]:
     """Closure of the basis rows under addition, as a set of tuples."""
     M = h.modulus
     elems: set[Vec] = {tuple([0] * h.ambient)}
-    for row in h.basis:
-        gen = tuple(int(x) for x in row % M)
+    for gen in h.basis:
         new = set(elems)
         frontier = set(elems)
         while frontier:

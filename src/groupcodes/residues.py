@@ -8,27 +8,30 @@ need everywhere:
 * span equality is basis identity, and
 * greedy reduction against the basis yields a canonical coset representative.
 
-A ``Subgroup`` is an immutable row span held in Howell form.  Everything else
-is built on top of it, and each operation is one projection of one Howell
-form: by the Howell property, the rows of a Howell form that vanish on a
-leading column block span exactly the elements of the span that vanish there
-(``zero_block_span``).  Annihilators, intersections (Zassenhaus) and, in
+A ``Subgroup`` is an immutable row span held in Howell form, its basis a tuple
+of int tuples.  Everything else is built on top of it, and each operation is
+one projection of one Howell pass (``howell_pass``), which returns every
+Howell row with its pivot column and pivot entry: by the Howell property, the
+rows that pivot past a leading column block span exactly the elements of the
+span that vanish there.  Annihilators, intersections (Zassenhaus) and, in
 ``codes``, shortenings and conditioned codes are each one such pass; sums are
 one pass over stacked bases; quotient invariants come from ``snf``.
 
 Every residue is a plain Python int, which never overflows, so every M
-takes the same path and every answer is exact.  Rows from outside enter
-through ``as_residue_matrix`` or ``as_residue_vector``, which pass each entry
-through ``int``.  The elimination kernels, ``howell_form`` and the one
-reduction loop ``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``,
-and called directly by the machines), run on int lists and touch only the
-tail of each row from its leading column on; numpy only holds
-``Subgroup.basis`` and the arrays that functions return, always of dtype
-``object``.
+takes the same path and every answer is exact.  Rows and vectors from outside
+enter through ``Subgroup.span`` and ``as_residue_vector``, which pass each
+entry through ``int``, so integer scalars of any type are taken.  The
+elimination kernels, ``howell_form`` and the one reduction loop
+``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``, and called
+directly by the machines), run on int lists and touch only the tail of each
+row from its leading column on.  The only arrays are ``howell_form``'s
+argument and result, of dtype ``object``, and ``howell_pass`` alone builds
+them.
 """
 
 from __future__ import annotations
 
+import operator
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -36,53 +39,36 @@ import numpy as np
 
 from .snf import _xgcd, lattice_quotient_invariants
 
+Row = tuple[int, ...]
+Pivoted = tuple[int, int, Row]  # (pivot column, pivot entry, row)
+
 
 def check_modulus(modulus: int) -> int:
-    if not isinstance(modulus, (int, np.integer)) or modulus < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-    return int(modulus)
-
-
-def as_residue_matrix(modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
-                      ambient: int | None = None) -> np.ndarray:
-    """Normalize ``rows`` into an (r, n) array of Python ints in [0, M)."""
-    M = check_modulus(modulus)
-    a = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=object)
-    if a.size == 0:
-        n = ambient if ambient is not None else (a.shape[1] if a.ndim == 2 else 0)
-        return np.zeros((0, n), dtype=object)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array of residues")
-    if ambient is not None and a.shape[1] != ambient:
-        raise ValueError(f"expected {ambient} columns, got {a.shape[1]}")
-    # int() also turns numpy scalars, which an object array keeps, into ints
-    return np.array([[int(x) % M for x in r] for r in a.tolist()], dtype=object)
-
-
-def as_residue_vector(modulus: int, v: Sequence[int] | np.ndarray,
-                      length: int) -> list[int]:
-    """Normalize one vector of ``length`` entries into Python ints in [0, M)."""
-    if isinstance(v, np.ndarray) and v.ndim != 1:
-        raise ValueError(f"expected a vector of length {length}, got shape {v.shape}")
-    a = v.tolist() if isinstance(v, np.ndarray) else list(v)
-    if len(a) != length:
-        raise ValueError(f"expected a vector of length {length}, got {len(a)} entries")
     try:
-        return [int(x) % modulus for x in a]
+        M = operator.index(modulus)
+    except TypeError:
+        M = 0
+    if M < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+    return M
+
+
+def as_residue_vector(modulus: int, v: Sequence[int], length: int) -> list[int]:
+    """Normalize one vector of ``length`` entries into Python ints in [0, M).
+
+    ``int`` also takes integer scalars of any type, and rejects an entry
+    that is itself an array.
+    """
+    try:
+        a = [int(x) % modulus for x in v]
     except TypeError:
         raise ValueError(f"expected a vector of {length} integers") from None
+    if len(a) != length:
+        raise ValueError(f"expected a vector of length {length}, got {len(a)} entries")
+    return a
 
 
 Tails = Sequence[tuple[int, int, Sequence[int]]]
-
-
-def pivot_tails(rows: Iterable[list[int]]) -> list[tuple[int, int, list[int]]]:
-    """(pivot column, pivot entry, row from the pivot on) of each nonzero row."""
-    out = []
-    for row in rows:
-        c = next(i for i, x in enumerate(row) if x)
-        out.append((c, row[c], row[c:]))
-    return out
 
 
 def reduce_ints(modulus: int, tails: Tails, r: list[int]) -> list[int]:
@@ -193,54 +179,69 @@ def howell_form(modulus: int, rows: np.ndarray) -> np.ndarray:
                     dtype=object).reshape(len(result), n)
 
 
+def howell_pass(modulus: int, rows: Sequence[Sequence[int]], ambient: int,
+                cols: Sequence[int] | None = None) -> list[Pivoted]:
+    """One ``howell_form`` of int rows of length ``ambient``: (pivot column,
+    pivot entry, row) per Howell row, top row first.
+
+    Given ``cols``, the pass takes those columns in that order and drops the
+    others; pivot columns and rows stay in the rows' own coordinates, zero
+    off ``cols``.  The one place that builds ``howell_form``'s object array.
+    Pivots increase down a Howell form, so one scan finds them all.
+    """
+    mat = np.array(rows, dtype=object).reshape(len(rows), ambient)
+    if cols is None:
+        cols, h = range(ambient), howell_form(modulus, mat)
+    else:
+        taken = howell_form(modulus, mat[:, cols])
+        h = np.zeros((len(taken), ambient), dtype=object)
+        h[:, cols] = taken
+    out, p = [], 0
+    for row in h.tolist():
+        while not row[cols[p]]:
+            p += 1
+        out.append((cols[p], row[cols[p]], tuple(row)))
+    return out
+
+
 class Subgroup:
     """A subgroup of (Z_M)^n, held as the Howell basis of its row span.
 
     Instances are immutable and canonical: two Subgroups are equal iff they
-    are the same subgroup.  The constructor takes an (r, ambient) integer
-    array; ``span`` takes rows in any form.
+    are the same subgroup.  The constructor takes a Howell form as
+    ``howell_pass`` returns it; ``span`` takes rows in any form.
     """
 
-    __slots__ = ("modulus", "ambient", "basis", "_pivots", "_tails", "_hash")
+    __slots__ = ("modulus", "ambient", "basis", "pivots", "_tails", "_hash")
 
-    def __init__(self, modulus: int, basis: np.ndarray, ambient: int,
-                 _canonical: bool = False):
+    def __init__(self, modulus: int, ambient: int, howell: Iterable[Pivoted]):
         self.modulus = check_modulus(modulus)
-        if basis.ndim != 2 or basis.shape[1] != ambient:
-            raise ValueError(f"expected an (r, {ambient}) array, got shape {basis.shape}")
-        mat = basis if _canonical else howell_form(self.modulus, basis)
-        mat.setflags(write=False)
         self.ambient = ambient
-        self.basis = mat
-        self._pivots = tuple(next((c, x) for c, x in enumerate(row) if x)
-                             for row in mat.tolist())
+        howell = tuple(howell)
+        self.basis: tuple[Row, ...] = tuple(row for _, _, row in howell)
+        # (column, entry) of each basis row's pivot, top row first
+        self.pivots: tuple[tuple[int, int], ...] = tuple((c, d) for c, d, _ in howell)
         self._tails: Tails | None = None
         self._hash: int | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def span(cls, modulus: int, rows: Iterable[Sequence[int]] | np.ndarray,
+    def span(cls, modulus: int, rows: Iterable[Sequence[int]],
              ambient: int) -> "Subgroup":
-        return cls(modulus, as_residue_matrix(modulus, rows, ambient), ambient)
+        M = check_modulus(modulus)
+        rows = [as_residue_vector(M, r, ambient) for r in rows]
+        return cls(M, ambient, howell_pass(M, rows, ambient))
 
     @classmethod
     def trivial(cls, modulus: int, ambient: int) -> "Subgroup":
-        return cls(modulus, np.zeros((0, ambient), dtype=object),
-                   ambient, _canonical=True)
+        return cls(modulus, ambient, ())
 
     @classmethod
     def full(cls, modulus: int, ambient: int) -> "Subgroup":
-        return cls(modulus, np.eye(ambient, dtype=object), ambient,
-                   _canonical=True)
-
-    @classmethod
-    def from_howell(cls, modulus: int, rows: Sequence[Sequence[int]],
-                    ambient: int) -> "Subgroup":
-        """The subgroup whose Howell basis is ``rows``, int rows that already
-        form a Howell form."""
-        return cls(modulus, np.array(rows, dtype=object).reshape(len(rows), ambient),
-                   ambient, _canonical=True)
+        return cls(modulus, ambient,
+                   [(i, 1, tuple(int(i == j) for j in range(ambient)))
+                    for i in range(ambient)])
 
     # -- basic protocol ----------------------------------------------------
 
@@ -249,58 +250,51 @@ class Subgroup:
             return NotImplemented
         return (self.modulus == other.modulus
                 and self.ambient == other.ambient
-                and self.basis.shape == other.basis.shape
-                and bool(np.array_equal(self.basis, other.basis)))
+                and self.basis == other.basis)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.modulus, self.ambient, self.basis.shape,
-                               tuple(self.basis.flat)))
+            self._hash = hash((self.modulus, self.ambient, self.basis))
         return self._hash
 
     def __repr__(self) -> str:
         return (f"Subgroup(mod {self.modulus}, ambient {self.ambient}, "
-                f"basis {self.basis.tolist()})")
-
-    @property
-    def pivots(self) -> tuple[tuple[int, int], ...]:
-        """(column, entry) of each basis row's pivot, top row first."""
-        return self._pivots
+                f"basis {[list(row) for row in self.basis]})")
 
     @property
     def tails(self) -> Tails:
         """(column, entry, row from the pivot on) of each basis row, top row
         first: the rows ``reduce_ints`` takes.  Built on first use."""
         if self._tails is None:
-            self._tails = tuple(pivot_tails(self.basis.tolist()))
+            self._tails = tuple((c, d, row[c:])
+                                for (c, d), row in zip(self.pivots, self.basis))
         return self._tails
 
     @property
     def num_generators(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
 
     def is_trivial(self) -> bool:
-        return self.basis.shape[0] == 0
+        return not self.basis
 
     # -- core operations ---------------------------------------------------
 
-    def reduce(self, v: Sequence[int] | np.ndarray) -> np.ndarray:
+    def reduce(self, v: Sequence[int]) -> list[int]:
         """Canonical representative of the coset ``self + v``.
 
         Greedy reduction against the Howell basis: two vectors reduce to the
         same representative iff they differ by an element of the subgroup.
         """
         M = self.modulus
-        r = reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient))
-        return np.array(r, dtype=object)
+        return reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient))
 
-    def contains(self, v: Sequence[int] | np.ndarray) -> bool:
+    def contains(self, v: Sequence[int]) -> bool:
         M = self.modulus
         return not any(reduce_ints(M, self.tails, as_residue_vector(M, v, self.ambient)))
 
     def order(self) -> int:
         """Exact number of elements of the subgroup."""
-        return prod(self.modulus // d for _, d in self._pivots)
+        return prod(self.modulus // d for _, d in self.pivots)
 
     def _check_compatible(self, other: "Subgroup") -> None:
         if self.modulus != other.modulus:
@@ -309,56 +303,40 @@ class Subgroup:
             raise ValueError("ambient dimension mismatch")
 
 
-def howell_rows(modulus: int, rows: Sequence[Sequence[int]],
-                ambient: int) -> list[list[int]]:
-    """``howell_form`` of int rows in [0, M), as int rows."""
-    return howell_form(modulus, np.array(rows, dtype=object).reshape(
-        len(rows), ambient)).tolist()
-
-
 def add(h1: Subgroup, h2: Subgroup) -> Subgroup:
     """Sum of subgroups: span of the stacked bases."""
     h1._check_compatible(h2)
-    return Subgroup(h1.modulus, np.vstack([h1.basis, h2.basis]), h1.ambient)
-
-
-def zero_block_span(modulus: int, mat: np.ndarray, lead: int) -> np.ndarray:
-    """Howell rows of ``mat`` that vanish on its first ``lead`` columns,
-    with those columns dropped.
-
-    By the Howell property these rows span exactly the elements of the row
-    span that vanish on the leading block.  Pivots increase down the form, so
-    they are its trailing rows, and they are already a Howell form.
-    """
-    h = howell_form(modulus, mat)
-    top = np.count_nonzero(h[:, :lead].any(axis=1))
-    return h[top:, lead:]
+    M, n = h1.modulus, h1.ambient
+    return Subgroup(M, n, howell_pass(M, h1.basis + h2.basis, n))
 
 
 def orthogonal(h: Subgroup) -> Subgroup:
     """Annihilator {x : b . x = 0 (mod M) for every basis row b}.
 
-    The left kernel of the transposed basis, read off [basis^T | I] in one
-    pass.  Satisfies orthogonal(orthogonal(h)) == h and
+    The left kernel of the transposed basis: the rows of the Howell form of
+    [basis^T | I] that pivot in the identity block, with the first block
+    dropped.  Satisfies orthogonal(orthogonal(h)) == h and
     order(h) * order(orthogonal(h)) == M ** ambient.
     """
-    M, n = h.modulus, h.ambient
-    aug = np.hstack([h.basis.T, np.eye(n, dtype=object)])
-    return Subgroup(M, zero_block_span(M, aug, h.num_generators), n,
-                    _canonical=True)
+    M, n, r = h.modulus, h.ambient, h.num_generators
+    aug = [[b[i] for b in h.basis] + [int(i == j) for j in range(n)] for i in range(n)]
+    return Subgroup(M, n, [(c - r, d, row[r:])
+                           for c, d, row in howell_pass(M, aug, r + n) if c >= r])
 
 
 def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     """Exact intersection, in one Zassenhaus pass over [[A, A], [B, 0]].
 
     The span holds (a + b, a) for a in A, b in B; the first block vanishes
-    exactly when a = -b, so the second block then runs over A & B.
+    exactly when a = -b, so the rows that pivot in the second block span
+    A & B there.
     """
     h1._check_compatible(h2)
     M, n = h1.modulus, h1.ambient
-    a, b = h1.basis, h2.basis
-    mat = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
-    return Subgroup(M, zero_block_span(M, mat, n), n, _canonical=True)
+    zeros = (0,) * n
+    rows = [a + a for a in h1.basis] + [b + zeros for b in h2.basis]
+    return Subgroup(M, n, [(c - n, d, row[n:])
+                           for c, d, row in howell_pass(M, rows, 2 * n) if c >= n])
 
 
 def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
@@ -371,8 +349,7 @@ def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     factors are dropped, so the trivial group is ().
     """
     a._check_compatible(b)
-    return lattice_quotient_invariants(a.modulus, a.ambient,
-                                       a.basis.tolist(), b.basis.tolist())
+    return lattice_quotient_invariants(a.modulus, a.ambient, a.basis, b.basis)
 
 
 def invariants(h: Subgroup) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 A ``SymbolLayout`` pins down the sequence space (Z_M)^{n_0} x ... x
 (Z_M)^{n_{N-1}} as one flat coordinate space of dimension sum(n_k), with the
 blocks contiguous and ordered by time.  Time-subset operations (restriction,
-zero-embedding, end-around intervals) then become plain column bookkeeping.
+zero-embedding, end-around intervals) then become plain column bookkeeping:
+``coords`` names the columns of a set of times, and ``codes`` selects them
+from the int-tuple rows of a code's basis.
 
 Time subsets are arbitrary sets of times, not just intervals; intervals
 (including end-around ones that wrap past the ends of the axis) are a
@@ -16,10 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import FrozenSet, Iterable, Sequence
 
-import numpy as np
-
 from . import residues
-from .residues import Subgroup
 
 TimeSubset = FrozenSet[int]
 
@@ -93,7 +92,7 @@ class SymbolLayout:
             raise ValueError("cannot restrict a layout to an empty time set")
         return SymbolLayout(self.modulus, tuple(self.widths[t] for t in ts))
 
-    def split_symbols(self, word: Sequence[int] | np.ndarray) -> list[tuple[int, ...]]:
+    def split_symbols(self, word: Sequence[int]) -> list[tuple[int, ...]]:
         w = residues.as_residue_vector(self.modulus, word, self.total_dim)
         return [tuple(w[self.starts[k]:self.starts[k + 1]]) for k in self.times()]
 
@@ -120,15 +119,4 @@ class Interval:
         if not self.wraparound:
             return layout.interval(self.lo, self.hi)
         return layout.subset(range(self.lo, n)) | layout.subset(range(0, self.hi + 1))
-
-
-def restrict_columns(h: Subgroup, layout: SymbolLayout,
-                     times: Iterable[int]) -> Subgroup:
-    """Howell form of the column-selected basis: the restriction H_{|J}."""
-    if h.ambient != layout.total_dim:
-        raise ValueError("subgroup ambient does not match layout")
-    idx = layout.coords(times)
-    if not idx:
-        raise ValueError("cannot restrict to an empty time set")
-    return Subgroup(h.modulus, h.basis[:, idx], len(idx))
 

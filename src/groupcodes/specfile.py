@@ -145,7 +145,7 @@ def dumps_explicit(code: GroupCode, name: str = "") -> str:
         "modulus": code.layout.modulus,
         "axis": code.layout.axis_len,
         "widths": list(code.layout.widths),
-        "generators": code.carrier.basis.tolist(),
+        "generators": [list(row) for row in code.carrier.basis],
     }
     return _dump_doc(doc, ("generators",))
 

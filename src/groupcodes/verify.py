@@ -75,7 +75,7 @@ def _proper_subset(rng: Random, n: int) -> frozenset[int]:
 def _code_artifact(code: GroupCode) -> dict:
     return {"modulus": code.layout.modulus,
             "widths": list(code.layout.widths),
-            "basis": code.carrier.basis.tolist()}
+            "basis": [list(row) for row in code.carrier.basis]}
 
 
 Check = Callable[[Random, GroupCode], dict | None]
@@ -125,7 +125,7 @@ def _check_sum_intersection(rng: Random, c: GroupCode) -> dict | None:
     lhs = residues.orthogonal(residues.add(h1, h2))
     rhs = residues.intersect(residues.orthogonal(h1), residues.orthogonal(h2))
     if lhs != rhs:
-        return {"h2": h2.basis.tolist()}
+        return {"h2": [list(row) for row in h2.basis]}
     return None
 
 

@@ -91,6 +91,12 @@ def test_orthogonality_check_spec_values():
     assert conv.orthogonality_check(spec, taps)
     assert conv.orthogonality_check(spec, taps[:1])
     assert not conv.orthogonality_check(spec, (spec.generators[0],))
+    # a tap family that is also given as a pattern is still checked as taps
+    g = ((1,), (1,))
+    assert conv.orthogonality_check(conv.ConvSpec(2, 1, patterns=(g,)), (g,))
+    assert not conv.orthogonality_check(conv.ConvSpec(2, 1, generators=(g,)), (g,))
+    assert not conv.orthogonality_check(
+        conv.ConvSpec(2, 1, generators=(g,), patterns=(g,)), (g,))
 
 
 def test_pairs_printed_dual_taps_discrepancy():

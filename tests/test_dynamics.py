@@ -301,8 +301,9 @@ def test_output_chains_rate13(rate13):
 
 
 def test_syndrome_group_dual_to_last_output_group():
-    # S_k(C) = G_k/F_k(C) and the last-output group of the dual are character
-    # groups of each other, so their invariants agree at every time
+    # S_k(C) = G_k/F_k(C) and the last-output group L_k = L_{k,k} of the dual
+    # are character groups of each other, so their invariants agree at every
+    # time
     rng = random.Random(47)
     for _ in range(10):
         c = random_code(rng, rng.choice([2, 3, 4]), rng.randint(2, 5))
@@ -310,7 +311,7 @@ def test_syndrome_group_dual_to_last_output_group():
         for k in c.layout.times():
             from groupcodes import residues
             assert dyn.syndrome_group(c, k) == \
-                residues.invariants(dyn.last_output_group(d, k))
+                residues.invariants(dyn.output_chains(d, k).last_output[k])
 
 
 def test_one_sided_future_coset_generators(rate13):

@@ -85,7 +85,7 @@ def test_encoder_zero_inputs_give_zero_codeword(rate13):
     enc = mc.ObserverEncoder(rate13.code)
     zeros = [tuple([0] * w) for w in rate13.code.layout.widths]
     word, trace = enc.encode(zeros)
-    assert not word.any()
+    assert not any(word)
     assert all(not any(s.state) for s in trace.steps)
 
 

@@ -1,15 +1,16 @@
 """Howell-form subgroup algebra over Z_M."""
 
 import random
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcodes import codes, dynamics, oracle, spaces
 from groupcodes import residues as R
 from groupcodes.residues import Subgroup
-from groupcodes import oracle
 
 
 def S(modulus, rows, ambient=None):
@@ -32,7 +33,7 @@ small_groups = st.integers(2, 6).flatmap(
 
 def test_howell_spec_examples():
     h = S(4, [(2, 2), (0, 2)])
-    assert h.basis.tolist() == [[2, 0], [0, 2]]
+    assert h.basis == ((2, 0), (0, 2))
 
     assert Subgroup.span(4, [], 2) == Subgroup.trivial(4, 2)
 
@@ -67,7 +68,7 @@ def test_howell_is_canonical_under_row_operations(h, rng):
 @given(small_groups)
 def test_howell_pivots_divide_modulus(h):
     for row in h.basis:
-        p = int(row[np.argmax(row != 0)])
+        p = next(x for x in row if x)
         assert h.modulus % p == 0
 
 
@@ -105,7 +106,7 @@ def test_coset_reduce_spec_examples():
     h = S(4, [(2, 0), (0, 2)])
     assert tuple(h.reduce((3, 1))) == (1, 1)
     assert h.contains(np.array([3, 1]) - np.array([1, 1]))
-    assert not h.reduce((2, 2)).any()
+    assert not any(h.reduce((2, 2)))
     t = Subgroup.trivial(4, 2)
     assert tuple(t.reduce((3, 1))) == (3, 1)
 
@@ -266,6 +267,21 @@ def test_large_modulus_stays_exact():
     rows = [[M - 1, 3], [5, M - 7]]
     assert (Subgroup.span(M, [[np.int64(x) for x in r] for r in rows], 2)
             == Subgroup.span(M, rows, 2))
+    # a basis is a tuple of int tuples at every modulus, whatever the input
+    # rows were, and the layers above residues hold no arrays at all
+    M = 2**64 + 13
+    h = Subgroup.span(M, [[M - 1, np.int64(3), 2**63], [6, 0, M + 4]], 3)
+    assert type(h.basis) is tuple and h.basis
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in h.basis)
+    for mod in (codes, spaces, dynamics):
+        assert not any(_numpy_name(v) for v in vars(mod).values()), mod.__name__
+
+
+def _numpy_name(value) -> bool:
+    """Whether ``value`` is numpy or an object that numpy defines."""
+    name = (value.__name__ if isinstance(value, ModuleType)
+            else getattr(value, "__module__", None))
+    return isinstance(name, str) and name.split(".")[0] == "numpy"
 
 
 # --- the int-row kernel against the numpy reference ----------------------------
@@ -315,7 +331,7 @@ def _numpy_reduce(h, v):
     """Greedy coset reduction on whole numpy rows, as the reference."""
     M = h.modulus
     r = np.asarray(v, dtype=object) % M
-    for row in h.basis:
+    for row in (np.array(b, dtype=object) for b in h.basis):
         col = int(np.argmax(row != 0))
         q = int(r[col]) // int(row[col])
         if q:
@@ -352,9 +368,10 @@ def test_howell_kernel_matches_numpy_reference():
             want = _numpy_howell_form(M, mat)
             assert got.dtype == want.dtype and got.shape == want.shape, (M, mat)
             assert got.tolist() == want.tolist(), (M, mat)
-            h = Subgroup(M, got, n, _canonical=True)
+            h = Subgroup.span(M, mat, n)
+            assert h.basis == tuple(map(tuple, want.tolist())), (M, mat)
             for _ in range(3):
                 v = [_biased_entry(rng, M, divisors) for _ in range(n)]
                 red = h.reduce(v)
-                assert red.dtype == dtype
-                assert red.tolist() == _numpy_reduce(h, v).tolist(), (M, mat, v)
+                assert all(type(x) is int for x in red)
+                assert red == _numpy_reduce(h, v).tolist(), (M, mat, v)

@@ -88,9 +88,9 @@ def test_quotient_invariants_match_sympy_smith(modulus):
                                        for _ in range(rng.randint(1, n + 1))], n)
         scales = [rng.choice((1, 1, 0, rng.randrange(M))) for _ in a.basis]
         b = residues.Subgroup.span(M, [[c * x for x in row]
-                                       for c, row in zip(scales, a.basis.tolist())], n)
-        ha = snf.lifted_howell_basis(M, n, a.basis.tolist())
-        hb = snf.lifted_howell_basis(M, n, b.basis.tolist())
+                                       for c, row in zip(scales, a.basis)], n)
+        ha = snf.lifted_howell_basis(M, n, a.basis)
+        hb = snf.lifted_howell_basis(M, n, b.basis)
         same = sum(ra == rb for ra, rb in zip(ha, hb))
         shared += same
         differing += n - same
@@ -99,7 +99,7 @@ def test_quotient_invariants_match_sympy_smith(modulus):
         smith = smith_normal_form(change, domain=sympy.ZZ)
         expected = tuple(sorted(abs(int(smith[i, i])) for i in range(n)
                                 if abs(smith[i, i]) > 1))
-        got = snf.lattice_quotient_invariants(M, n, a.basis.tolist(), b.basis.tolist())
+        got = snf.lattice_quotient_invariants(M, n, a.basis, b.basis)
         assert got == expected
         assert prod(got) == a.order() // b.order()
     assert shared and differing

@@ -2,8 +2,9 @@
 
 import pytest
 
+from groupcodes.codes import GroupCode, restriction
 from groupcodes.residues import Subgroup
-from groupcodes.spaces import Interval, SymbolLayout, restrict_columns
+from groupcodes.spaces import Interval, SymbolLayout
 
 
 def test_coords_spec_examples():
@@ -26,13 +27,14 @@ def test_out_of_range_time():
         lay.coords({3})
 
 
-def test_restrict_columns_full_space_memoryless():
+def test_restriction_full_space_memoryless():
     lay = SymbolLayout(4, (1, 2, 1))
-    full = Subgroup.full(4, lay.total_dim)
+    full = GroupCode.full(lay)
     for times in [{0}, {1}, {0, 2}, {0, 1, 2}]:
         j = lay.subset(times)
-        r = restrict_columns(full, lay, j)
-        assert r == Subgroup.full(4, len(lay.coords(j)))
+        r = restriction(full, j)
+        assert r.layout == lay.restricted(j)
+        assert r.carrier == Subgroup.full(4, len(lay.coords(j)))
 
 
 def test_interval_times():

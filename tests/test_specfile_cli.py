@@ -146,6 +146,12 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file):
     broken.write_text("{not json")
     assert main(["analyze", str(broken)]) == 2
     assert main(["analyze", str(tmp_path / "missing.code")]) == 2
+    # a directory where a file belongs is a usage error, not a traceback
+    for argv in (["analyze", str(tmp_path)],
+                 ["syndrome", rate13_file, "--word", str(tmp_path)],
+                 ["encode", rate13_file, "--inputs", str(tmp_path)],
+                 ["dual", rate13_file, "--out", str(tmp_path)]):
+        assert main(argv) == 2, argv
     big = tmp_path / "big.code"
     big.write_text(specfile.dumps_convolutional(catalog.rate_one_third_z4(), 12))
     assert main(["oracle", str(big), "--quantity", "order", "--cap", "100"]) == 3
