@@ -10,21 +10,35 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one, and each pass over the
-code's basis is one ``codes.pivot_rows`` pass with the times in a chosen
-order.  Every prefix and suffix subcode C_{:[0,k)} and C_{:[k,N)} comes from
-two Howell forms (``cut_rows``): the code's own basis and one pass with the
-times reversed; their sum, the kernel of the state map, is one small pass more
-(``cut_sum``).  Each interval test compares orders: a sum of two shortenings
-inside a third group is all of it exactly when the orders say so, because the
-two meet in a shortening too, and only the interior term (C_{:[m,n)}, or for
-observability one pass over the window, whose order is |C_{|[m,n)}|) is a pass
-of its own.  Phi, ordinary or end-around, comes from two passes over the
-interval (``ending_symbols``), with no dual.  F_k is read off the code's
-basis, and the four output chains off two passes, one per direction, each
-nesting all its levels; their successive quotients are the granules
-Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``).  The
-routes that the theorems equate with those are kept for the theorem battery:
+Each number has one route, its cheapest exact one.  A pass over the code's
+basis is one ``codes.pivot_rows`` pass with the times in a chosen order, and
+each nested family of subcodes or windows is one sweep of
+``residues.IncrementalHowell`` inserts, cached per code, rather than one pass
+per member:
+
+* ``_trellis_sweep`` grows the trellis-oriented (minimal-span) rows of
+  C_{:[k,N)} for k = N-1 down to 0, with the times reversed.  It gives
+  ``span_profile`` and ``interval_orders``, |C_{:[k,n)}| for every k <= n.
+* ``window_orders`` drops one block at a time from the code's own basis and
+  inserts the rows that pivoted in it again, giving |C_{|[m,n)}| for every
+  m < n.
+* ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
+  the Howell rows of every prefix subcode C_{:[0,k)}; stacked over the code's
+  basis rows from block k on, they are the kernel of the state map
+  (``cut_sum``).
+
+Each interval test compares orders: a sum of two shortenings inside a third
+group is all of it exactly when the orders say so, because the two meet in a
+shortening too; for observability the interior term is the window's order
+|C_{|[m,n)}|.  So the tests, the index searches and the machines' memory read
+their orders off those tables and make no pass.  Phi, ordinary or end-around,
+comes from two passes over the interval (``ending_symbols``), with no dual.
+F_k is read off the code's basis, and the four output chains off two passes,
+one per direction, each nesting all its levels, which one run of inserts per
+pass reads off from the last level up; their successive quotients are the
+granules Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read
+(``ChainReport``).  The routes that the theorems equate with those are kept
+for the theorem battery:
 the one-interval granule functions, ``state_space_routes``,
 ``controllability_tests`` and ``observability_tests``,
 ``controllable_subcode`` (spans of ``span_profile`` rows),
@@ -43,16 +57,17 @@ controllability or observability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import prod
-from typing import NamedTuple
+from operator import mul
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
                     lift_restriction, pivot_rows, restricted_subcode,
                     restriction, shorten)
 from .residues import Row, Subgroup, quotient_invariants
-from .spaces import Interval, TimeSubset
+from .spaces import Interval, SymbolLayout, TimeSubset
 
 
 class InternalInconsistency(Exception):
@@ -127,17 +142,35 @@ def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
 # controllable subcodes / observable supercodes
 
 
-def _trellis_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
-    """(last time, pivot entry, full-length row) of the Howell rows of C_{:[k,N)}.
+def _reversed_order(layout: SymbolLayout) -> tuple[list[int], list[int]]:
+    """The column and the time at each position of the order that takes the
+    blocks from time N-1 down to 0, each block in its own order."""
+    times = [t for t in reversed(layout.times()) for _ in layout.block(t)]
+    return [c for t in reversed(layout.times()) for c in layout.block(t)], times
 
-    One ``pivot_rows`` pass with the times before k in front and the later
-    times in reverse puts each pivot at its row's last time; by the Howell
-    property the rows that end by time b span exactly C_{:[k,b]}.
+
+def _trellis_sweep(code: GroupCode):
+    """Grow the trellis-oriented rows of C_{:[k,N)} for k = N-1 down to 0.
+
+    Yields each k with ``form`` holding the Howell form of C_{:[k,N)} in the
+    columns of ``_reversed_order``.  A word of C_{:[k,N)} vanishes before
+    time k, so one column order serves every k: step k inserts the code's
+    basis rows that pivot in block k, which together with C_{:[k+1,N)} span
+    C_{:[k,N)}.  Each row pivots at its last time, and by the Howell property
+    the rows that end by time b span C_{:[k,b]}.
     """
-    order = [*range(k), *reversed(range(k, code.layout.axis_len))]
-    return [(order[i], d, row)
-            for i, _, d, row in pivot_rows(code.layout, code.carrier.basis, order)
-            if i >= k]
+    layout, carrier = code.layout, code.carrier
+    n, starts = layout.total_dim, layout.starts
+    perm, _ = _reversed_order(layout)
+    form = residues.IncrementalHowell(layout.modulus, n)
+    i = len(carrier.basis)
+    for k in reversed(layout.times()):
+        cols = perm[:n - starts[k]]
+        while i and carrier.pivots[i - 1][0] >= starts[k]:
+            i -= 1
+            row = carrier.basis[i]
+            form.insert([row[c] for c in cols])
+        yield k, form
 
 
 @lru_cache(maxsize=1024)
@@ -145,62 +178,103 @@ def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
     """Trellis-oriented rows of the code, by start time and last time.
 
     ``span_profile(code)[k][b]`` holds the rows, as full-length int tuples,
-    that vanish before time k and end at time b (empty for b < k): one
-    ``_trellis_rows`` pass per start k.  The rows of start k that end by time
-    b span exactly the interval subcode C_{:[k,b]}.
+    that vanish before time k and end at time b (empty for b < k): the
+    Howell rows of C_{:[k,N)} at step k of ``_trellis_sweep``.  The rows of
+    start k that end by time b span exactly the interval subcode C_{:[k,b]}.
     """
-    N = code.layout.axis_len
-    profile = []
-    for k in range(N):
+    layout = code.layout
+    N, n = layout.axis_len, layout.total_dim
+    perm, time_at = _reversed_order(layout)
+    written: dict[int, tuple] = {}  # position -> (tail, its full-length row)
+    profile: list = [()] * N
+    for k, form in _trellis_sweep(code):
         by_end: list[list[Row]] = [[] for _ in range(N)]
-        for b, _, row in _trellis_rows(code, k):
-            by_end[b].append(row)
-        profile.append(tuple(map(tuple, by_end)))
+        for p, _, tail in form.rows():
+            last = written.get(p)
+            if last is None or last[0] is not tail:
+                full = [0] * n
+                for c, x in zip(perm[p:], tail):
+                    full[c] = x
+                last = written[p] = (tail, tuple(full))
+            by_end[time_at[p]].append(last[1])
+        profile[k] = tuple(map(tuple, by_end))
     return tuple(profile)
 
 
-class Cut(NamedTuple):
-    """Howell rows of the prefix subcode, and the orders of the prefix and
-    suffix subcodes, at one cut k."""
-
-    past: tuple[Row, ...]    # spans C_{:[0,k)}
-    past_order: int
-    future_order: int
+@lru_cache(maxsize=1024)
+def interval_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
+    """``interval_orders(code)[k][n]`` is |C_{:[k,n)}| for 0 <= k <= n <= N
+    (1 for n <= k): the product of M/pivot over the rows of step k of
+    ``_trellis_sweep`` that end before time n."""
+    N = code.layout.axis_len
+    _, time_at = _reversed_order(code.layout)
+    table = [(1,) * (N + 1)] * (N + 1)
+    for k, form in _trellis_sweep(code):
+        table[k] = _orders_before(form, time_at, N, k)
+    return tuple(table)
 
 
 @lru_cache(maxsize=1024)
-def cut_rows(code: GroupCode) -> tuple[Cut, ...]:
-    """The prefix and suffix subcodes at every cut k = 0..N, from two Howell forms.
+def window_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
+    """``window_orders(code)[m][n]`` is |C_{|[m,n)}| for m < n <= N.
 
-    By the Howell property the rows of the code's basis that pivot at or after
-    time k span C_{:[k,N)}, and in the start-0 pass of ``span_profile`` (the
-    times reversed) the rows that end before time k span C_{:[0,k)}.  Each set
-    is a Howell form of its span, so its order is the product of M/pivot over
-    its rows.
+    One forward sweep: the Howell form of C_{|[m,N)} (held on the full
+    coordinates, zero before block m) is that of C_{|[m-1,N)} with its rows
+    that pivot in block m-1 cut down to the later blocks and inserted again.
+    By the Howell property its rows that pivot from block n on span the
+    words of C_{|[m,N)} that vanish on [m, n), the kernel of the projection
+    onto the window, so |C_{|[m,n)}| is the product of M/pivot over the rows
+    that pivot before block n.
     """
-    layout, carrier = code.layout, code.carrier
-    M, N = layout.modulus, layout.axis_len
-    time_of = [t for t in range(N) for _ in layout.block(t)]
-    fwd = [(time_of[c], d) for c, d in carrier.pivots]
-    back = _trellis_rows(code, 0)
-    return tuple(Cut(tuple(row for t, _, row in back if t < k),
-                     prod(M // d for t, d, _ in back if t < k),
-                     prod(M // d for t, d in fwd if t >= k))
-                 for k in range(N + 1))
+    layout = code.layout
+    N, starts = layout.axis_len, layout.starts
+    time_of = [t for t in layout.times() for _ in layout.block(t)]
+    form = residues.IncrementalHowell(layout.modulus, layout.total_dim, code.carrier.tails)
+    table = []
+    for m in range(N):
+        for c, tail in form.drop(starts[m]):
+            form.insert(tail[starts[m] - c:], starts[m])
+        table.append(_orders_before(form, time_of, N, m))
+    return tuple(table)
+
+
+def _orders_before(form: residues.IncrementalHowell, time_of: list[int], N: int,
+                   lo: int) -> tuple[int, ...]:
+    """Entry n, for n = 0..N: the product of M/pivot over the rows of ``form``
+    whose pivot column is at a time (``time_of``) before n; every row's is at
+    ``lo`` or later."""
+    at_time = [1] * N
+    for c, d in form.pivots():
+        at_time[time_of[c]] *= form.modulus // d
+    return (1,) * lo + tuple(accumulate(at_time[lo:], mul, initial=1))
+
+
+@lru_cache(maxsize=1024)
+def _cut_heads(code: GroupCode) -> tuple[tuple[tuple[int, int, Row], ...], ...]:
+    """``_cut_heads(code)[k]``, k = 0..N: the Howell rows of C_{:[0,k)} as
+    ``IncrementalHowell.rows`` gives them, (pivot column, pivot entry, tail).
+
+    One forward sweep: cut k+1 inserts the start-0 rows of ``span_profile``
+    that end at time k into the rows of cut k.
+    """
+    layout = code.layout
+    form = residues.IncrementalHowell(layout.modulus, layout.total_dim)
+    heads = [()]
+    for rows in span_profile(code)[0]:
+        for row in rows:
+            form.insert(row)
+        heads.append(tuple(form.rows()))
+    return tuple(heads)
 
 
 def cut_sum(code: GroupCode, k: int) -> Subgroup:
     """C_{:[0,k)} + C_{:[k,N)}: the summands have disjoint supports and the
-    future rows are the tail of the code's Howell basis, so the Howell form
-    of the past rows on the coordinates before block k, stacked over them, is
-    the sum's Howell form."""
-    layout, carrier, past = code.layout, code.carrier, cut_rows(code)[k].past
-    M, n, s = layout.modulus, layout.total_dim, layout.starts[k]
-    pad = (0,) * (n - s)
-    head = [(c, d, row + pad) for c, d, row in
-            residues.howell_pass(M, [row[:s] for row in past], s)] if past else []
-    return Subgroup(M, n, head + [(c, d, row) for (c, d), row in
-                                  zip(carrier.pivots, carrier.basis) if c >= s])
+    future rows are the tail of the code's Howell basis, so the rows of
+    ``_cut_heads`` at cut k, stacked over them, are the sum's Howell form."""
+    carrier, n, s = code.carrier, code.layout.total_dim, code.layout.starts[k]
+    head = residues.written_out(_cut_heads(code)[k], n)
+    return Subgroup(carrier.modulus, n, head + [(c, d, row) for (c, d), row in
+                                                zip(carrier.pivots, carrier.basis) if c >= s])
 
 
 @lru_cache(maxsize=4096)
@@ -369,21 +443,16 @@ def state_order_from_observer_granules(code: GroupCode, k: int) -> int:
 # interval controllability / observability
 
 
-def _shortened_order(code: GroupCode, lo: int, hi: int) -> int:
-    """|C_{:[lo,hi)}|."""
-    return shorten(code, code.layout.subset(range(lo, hi))).order()
-
-
 def _shortened_sum(code: GroupCode, m: int, n: int) -> bool:
     """C == C_{:[0,n)} + C_{:[m,N)}, by orders.
 
     The sum lies in C, and the two summands meet in C_{:[m,n)}, so the sum is
     all of C exactly when |C| * |C_{:[m,n)}| == |C_{:[0,n)}| * |C_{:[m,N)}|.
-    The two one-sided orders come from ``cut_rows``.
+    All three orders come from ``interval_orders``.
     """
-    cuts = cut_rows(code)
-    return (code.order() * _shortened_order(code, m, n)
-            == cuts[n].past_order * cuts[m].future_order)
+    orders = interval_orders(code)
+    return (code.order() * orders[m][n]
+            == orders[0][n] * orders[m][code.layout.axis_len])
 
 
 def controllable_on(code: GroupCode, m: int, n: int) -> bool:
@@ -423,12 +492,10 @@ def observable_on(code: GroupCode, m: int, n: int) -> bool:
     if not 0 <= m < n <= code.layout.axis_len:
         raise ValueError("need 0 <= m < n <= N")
     # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
-    # |C| / |C_{|[m,n)}|, and the order of a Howell form is the product of
-    # M/pivot over its rows
-    M, cuts = code.layout.modulus, cut_rows(code)
-    window = prod(M // d for _, _, d, _ in
-                  pivot_rows(code.layout, code.carrier.basis, range(m, n)))
-    return code.order() == window * cuts[m].past_order * cuts[n].future_order
+    # |C| / |C_{|[m,n)}|
+    orders = interval_orders(code)
+    return (code.order() == window_orders(code)[m][n]
+            * orders[0][m] * orders[n][code.layout.axis_len])
 
 
 def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
@@ -555,14 +622,21 @@ def _successive_quotients(chain: tuple[Subgroup, ...]) -> tuple[Invariants, ...]
                      (Subgroup.trivial(top.modulus, top.ambient), *chain)))
 
 
-def _chain_pass(code: GroupCode, k: int, order: list[int]):
-    """q -> (C_{:S})_{|{k}}, S the times past the first q of ``order``, from
-    one ``pivot_rows`` pass with k last: the Howell form of the block-k parts
-    of the rows that pivot past those q times, which span C_{:S}."""
+def _chain_pass(code: GroupCode, k: int, order: list[int],
+                skips: set[int]) -> dict[int, Subgroup]:
+    """q -> (C_{:S})_{|{k}} for each q in ``skips``, S the times past the
+    first q of ``order``, from one ``pivot_rows`` pass with k last: the block-k
+    parts of the rows that pivot past those q times span it, and the levels
+    nest, so one run of inserts from the last row up gives every level."""
     block, M = code.layout.block(k), code.layout.modulus
     rows = pivot_rows(code.layout, code.carrier.basis, [*order, k])
-    return cache(lambda q: Subgroup(M, len(block), residues.howell_pass(
-        M, [row[block.start:block.stop] for i, _, _, row in rows if i >= q], len(block))))
+    form = residues.IncrementalHowell(M, len(block))
+    levels = {}
+    for q in sorted(skips, reverse=True):
+        while rows and rows[-1][0] >= q:
+            form.insert(rows.pop()[3][block.start:block.stop])
+        levels[q] = Subgroup(M, len(block), residues.written_out(form.rows(), len(block)))
+    return levels
 
 
 def _chain_skips(before: int, after: int, j: int) -> tuple[int, int, int, int]:
@@ -579,8 +653,8 @@ def _chain_skips(before: int, after: int, j: int) -> tuple[int, int, int, int]:
 
 def first_output_group(code: GroupCode, k: int) -> Subgroup:
     """F_k = (C_{:[k,N)})_{|{k}}: the block-k parts of the basis rows that
-    pivot in block k, a Howell form, since the later rows vanish there and
-    all of them span C_{:[k,N)} (``cut_rows``)."""
+    pivot in block k, a Howell form, since the later rows vanish there and,
+    by the Howell property, all of them span C_{:[k,N)}."""
     carrier, block = code.carrier, code.layout.block(k)
     return Subgroup(carrier.modulus, len(block),
                     [(c - block.start, d, row[block.start:block.stop])
@@ -598,11 +672,13 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     if not 0 <= k < N:
         raise ValueError("time out of range")
     cap = N - 1 if max_level is None else min(max_level, N - 1)
-    a = _chain_pass(code, k, [*reversed(range(k)), *reversed(range(k + 1, N))])
-    b = _chain_pass(code, k, [*range(k + 1, N), *range(k)])
-    first, dual_first, last, dual_last = zip(*(
-        (a(f), a(df), b(la), b(dl))
-        for f, df, la, dl in (_chain_skips(k, N - 1 - k, j) for j in range(cap + 1))))
+    skips = [_chain_skips(k, N - 1 - k, j) for j in range(cap + 1)]
+    a = _chain_pass(code, k, [*reversed(range(k)), *reversed(range(k + 1, N))],
+                    {q for f, df, _, _ in skips for q in (f, df)})
+    b = _chain_pass(code, k, [*range(k + 1, N), *range(k)],
+                    {q for _, _, la, dl in skips for q in (la, dl)})
+    first, dual_first, last, dual_last = zip(*((a[f], a[df], b[la], b[dl])
+                                               for f, df, la, dl in skips))
     return ChainReport(code=code, time=k, first_output=first, last_output=last,
                        dual_first=dual_first, dual_last=dual_last)
 

@@ -20,11 +20,15 @@ that are not strongly observable simply get L close to the axis length.
 State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
 
-Everything a step needs is built with the machine, one Howell pass per cut:
-the observer's section (a ``codes.pivot_rows`` pass giving the lift rows of
-the window and the zero extension Y([k-L, k]), which the encoder reads off
-it) and its label reducer ``dynamics.cut_sum``; the syndrome former sorts
-its checks by the times they cover.  A step then runs on plain int lists:
+Everything a step needs is built with the machine: at each cut, the
+observer's section (one ``codes.pivot_rows`` pass giving the lift rows of the
+window and the zero extension Y([k-L, k]), which the encoder reads off it)
+and its label reducer ``dynamics.cut_sum``, read off one sweep of inserts for
+the whole code.  The memory L is read off ``dynamics``' cached order tables,
+with no Howell pass.  The syndrome former keeps each check of the dual's span
+profile that grows the Howell form of the checks kept so far, one
+``residues.IncrementalHowell`` insert per candidate, and sorts its checks by
+the times they cover.  A step then runs on plain int lists:
 each reduction is one call of ``residues.reduce_ints`` on a Howell form's
 rows, and a syndrome step adds each covering check's dot product with the
 new symbol to a running sum.
@@ -38,11 +42,9 @@ from operator import mul
 from random import Random
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import dynamics, residues
 from .codes import GroupCode, dual, pivot_rows, restriction, shorten
-from .residues import Subgroup, howell_form
+from .residues import Subgroup
 
 
 class WindowNotInRestriction(Exception):
@@ -242,24 +244,16 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]
     controller memory, which equals the observer memory of the code.
     """
     layout = dual_code.layout
-    M, N = layout.modulus, layout.axis_len
     profile = dynamics.span_profile(dual_code)
     target = dual_code.order()
-    kept: list[list[int]] = []  # Howell form of the kept rows' span
-    tails: list[tuple[int, int, list[int]]] = []
+    kept = residues.IncrementalHowell(layout.modulus, layout.total_dim)
     checks: list[tuple[int, int, dynamics.Row]] = []
-    for j in range(N):
-        for k in range(N - j):
+    for j in range(layout.axis_len):
+        for k in range(layout.axis_len - j):
             for row in profile[k][k + j]:
-                if any(residues.reduce_ints(M, tails, list(row))):
-                    kept = howell_form(M, np.array(kept + [list(row)], dtype=object)).tolist()
-                    tails, p = [], 0
-                    for r in kept:  # pivots increase down a Howell form
-                        while not r[p]:
-                            p += 1
-                        tails.append((p, r[p], r[p:]))
+                if kept.insert(row):
                     checks.append((k, k + j, row))
-                    if prod(M // d for _, d, _ in tails) == target:
+                    if kept.order == target:
                         return checks
     return checks
 

@@ -21,12 +21,15 @@ Every residue is a plain Python int, which never overflows, so every M
 takes the same path and every answer is exact.  Rows and vectors from outside
 enter through ``Subgroup.span`` and ``as_residue_vector``, which pass each
 entry through ``int``, so integer scalars of any type are taken.  The
-elimination kernels, ``howell_form`` and the one reduction loop
-``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``, and called
-directly by the machines), run on int lists and touch only the tail of each
-row from its leading column on.  The only arrays are ``howell_form``'s
-argument and result, of dtype ``object``, and ``howell_pass`` alone builds
-them.
+elimination kernels run on int lists and touch only the tail of each row from
+its leading column on: ``howell_form``, the batch kernel; the one reduction
+loop ``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``, and called
+directly by the machines); and ``IncrementalHowell``, which grows a Howell
+form one row at a time, so that a nested family of spans (the interval
+subcodes and windows of a code, or a growing set of checks) costs one sweep
+of inserts rather than one pass per member.  The only arrays are
+``howell_form``'s argument and result, of dtype ``object``, and
+``howell_pass`` alone builds them.
 """
 
 from __future__ import annotations
@@ -177,6 +180,145 @@ def howell_form(modulus: int, rows: np.ndarray) -> np.ndarray:
                                      for a, b in zip(row[col - start:], below)]
     return np.array([[0] * col + row for col, _, row in result],
                     dtype=object).reshape(len(result), n)
+
+
+def _minus(M: int, a: Sequence[int], q: int, b: Sequence[int]) -> list[int]:
+    """a - q*b on two tails that start at one column, each zero past its end."""
+    n = len(b)
+    if len(a) >= n:
+        return [(x - q * y) % M for x, y in zip(a, b)] + list(a[n:])
+    return [(x - q * y) % M for x, y in zip(a, b)] + [-q * y % M for y in b[len(a):]]
+
+
+class IncrementalHowell:
+    """A Howell form of (Z_M)^width grown one row at a time.
+
+    Each row sits at its pivot column as (pivot entry, tail from the pivot
+    on), a tail being zero past its end.  ``insert`` reduces a row down the
+    form; at an occupied pivot whose entry does not divide the row's it
+    merges the two with ``_gcdex`` and sends the residual on, at a free
+    column it unit-lifts the row and places it, and either way it enters the
+    new pivot row's closure row (M/d)*row, so the Howell property holds after
+    every insert and membership, pivots and ``order`` are exact throughout.
+    Entries above the pivots are reduced only when ``rows`` reads the form,
+    and then only for the rows at or above one that changed since the last
+    read.  Tails are never changed in place, so a list that ``rows`` returned
+    stays valid.  Howell forms are canonical: ``rows`` after any sequence of
+    inserts is ``howell_form`` of the rows inserted.
+    """
+
+    __slots__ = ("modulus", "order", "_at", "_changed")
+
+    def __init__(self, modulus: int, width: int, howell: Tails = ()):
+        """Start from the Howell form ``howell``, (pivot column, pivot entry,
+        tail) per row; by default, from the trivial group."""
+        self.modulus = modulus
+        self._at: list[tuple[int, Sequence[int]] | None] = [None] * width
+        self.order = 1
+        for c, d, tail in howell:
+            self._at[c] = (d, tail)
+            self.order *= modulus // d
+        self._changed: set[int] = set()
+
+    def insert(self, row: Sequence[int], start: int = 0) -> bool:
+        """Add the row whose entries from column ``start`` on are the
+        residues ``row``, in [0, M); return whether the span grew."""
+        M, at, changed = self.modulus, self._at, self._changed
+        grew = False
+        work = [(start, row)]
+        while work:
+            col, r = work.pop()
+            i, end = 0, len(r)
+            while end and not r[end - 1]:
+                end -= 1
+            while i < end:
+                x = r[i]
+                if not x:
+                    i += 1
+                    continue
+                c = col + i
+                placed = at[c]
+                if placed is None:
+                    d, u = _unit_lifting(x, M)
+                    tail = list(r[i:end]) if u == 1 else [u * a % M for a in r[i:end]]
+                    at[c] = (d, tail)
+                    self.order *= M // d
+                elif x % placed[0]:
+                    # gcd(d, x) divides d, which divides M: it is the new pivot
+                    d0, head = placed
+                    d, s, t, u, v = _gcdex(d0, x)
+                    below = r[i:end]
+                    if len(head) < len(below):
+                        head = [*head, *[0] * (len(below) - len(head))]
+                    elif len(below) < len(head):
+                        below = [*below, *[0] * (len(head) - len(below))]
+                    tail = [(s * a + t * b) % M for a, b in zip(head, below)]
+                    work.append((c + 1, [(u * a + v * b) % M for a, b in zip(head[1:], below[1:])]))
+                    at[c] = (d, tail)
+                    self.order = self.order // (M // d0) * (M // d)
+                else:
+                    r, col = _minus(M, r[i:end], x // placed[0], placed[1]), c
+                    i, end = 1, len(r)
+                    while end and not r[end - 1]:
+                        end -= 1
+                    continue
+                if d != 1:
+                    work.append((c + 1, [(M // d) * a % M for a in tail[1:]]))
+                changed.add(c)
+                grew = True
+                break
+        return grew
+
+    def pivots(self) -> list[tuple[int, int]]:
+        """(pivot column, pivot entry) of each row, top row first."""
+        return [(c, p[0]) for c, p in enumerate(self._at) if p is not None]
+
+    def drop(self, stop: int) -> list[tuple[int, Sequence[int]]]:
+        """Remove the rows that pivot before column ``stop`` and return each as
+        (pivot column, tail).  The rest is the Howell form of the elements of
+        the span that vanish before ``stop``."""
+        out = []
+        for c in range(stop):
+            placed = self._at[c]
+            if placed is not None:
+                self._at[c] = None
+                self.order //= self.modulus // placed[0]
+                out.append((c, placed[1]))
+        self._changed.difference_update(range(stop))
+        return out
+
+    def rows(self) -> list[tuple[int, int, Sequence[int]]]:
+        """The Howell form, (pivot column, pivot entry, tail) per row, top row
+        first, with the entries above each pivot reduced modulo it."""
+        M, changed = self.modulus, self._changed
+        placed = [(c, p[0], p[1]) for c, p in enumerate(self._at) if p is not None]
+        # a row unchanged since the last read needs checking only against the
+        # rows below it from the first one that changed (or that this pass
+        # changed) on
+        first = len(placed)
+        for i in range(len(placed) - 1, -1, -1):
+            c0, d0, row = placed[i]
+            touched = c0 in changed
+            for c, d, below in placed[i + 1 if touched else first:]:
+                j = c - c0
+                if j < len(row):
+                    q = row[j] // d
+                    if q:
+                        row = [*row[:j], *_minus(M, row[j:], q, below)]
+                        touched = True
+            if touched:
+                placed[i] = (c0, d0, row)
+                self._at[c0] = (d0, row)
+                first = i
+        changed.clear()
+        return placed
+
+
+def written_out(rows: Tails, width: int) -> list[Pivoted]:
+    """(pivot column, pivot entry, tail) rows, as ``IncrementalHowell.rows``
+    gives them, with each tail written out as a row of ``width`` entries."""
+    return [(c, d, (0,) * c + (*tail,) + (0,) * (width - c - len(tail)))
+            for c, d, tail in rows]
 
 
 def howell_pass(modulus: int, rows: Sequence[Sequence[int]], ambient: int,

@@ -188,7 +188,8 @@ def _check_end_around(rng: Random, c: GroupCode) -> dict | None:
 
 def _check_interval_tests(rng: Random, c: GroupCode) -> dict | None:
     # both characterizations of [m, n)-controllability of C and both of
-    # [m, n)-observability of C^perp must give one verdict
+    # [m, n)-observability of C^perp must give one verdict, and so the
+    # controller memory of C is the observer memory of C^perp at every margin
     n = c.layout.axis_len
     m = rng.randint(0, n - 1)
     nn = rng.randint(m + 1, n)
@@ -196,6 +197,12 @@ def _check_interval_tests(rng: Random, c: GroupCode) -> dict | None:
     obs_dual = dynamics.observability_tests(dual(c), m, nn)
     if len({*ctrl.values(), *obs_dual.values()}) > 1:
         return {"m": m, "n": nn, "ctrl": ctrl, "obs_dual": obs_dual}
+    for margin in range(n // 2 + 1):
+        memories = (dynamics.controllability_index(c, margin),
+                    dynamics.observability_index(dual(c), margin))
+        if memories[0] != memories[1]:
+            return {"margin": margin, "controller_memory": memories[0],
+                    "dual_observer_memory": memories[1]}
     return None
 
 

@@ -81,13 +81,24 @@ def test_fast_path_agreement_many_instances():
             == observer.state_count(k)
         # each cut's section pass and label reducer against their definitions
         lay, L = code.layout, observer.memory
-        for cut, (rows, section) in enumerate(zip(dyn.cut_rows(code), observer._sections)):
+        for cut, section in enumerate(observer._sections):
+            past = shorten(code, lay.subset(range(0, cut))).carrier.basis
             future = shorten(code, lay.subset(range(cut, n))).carrier.basis
             assert observer._denoms[cut] == Subgroup.span(
-                lay.modulus, rows.past + future, lay.total_dim)
+                lay.modulus, past + future, lay.total_dim)
             if cut < n:
                 assert section.ending == dyn.ending_symbols(
                     code, lay.interval(max(0, cut - L), cut), cut)
+        # the sweep tables: |C_{:[m,n)}| and |C_{|[m,n)}| for every m <= n
+        for m in range(n + 1):
+            for nn in range(m, n + 1):
+                inside = lay.subset(range(m, nn))
+                assert dyn.interval_orders(code)[m][nn] == \
+                    len(oracle.supported_inside(elems, lay, inside))
+                if m < nn:
+                    cols = lay.coords(inside)
+                    assert dyn.window_orders(code)[m][nn] == \
+                        len({tuple(e[c] for c in cols) for e in elems})
         # input groups: F_k is the set of time-k symbols of C_{:[k,N)}
         t = rng.randint(0, n - 1)
         block = code.layout.block(t)

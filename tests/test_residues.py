@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcodes import codes, dynamics, oracle, spaces
+from groupcodes import codes, dynamics, machines, oracle, spaces
 from groupcodes import residues as R
 from groupcodes.residues import Subgroup
 
@@ -273,7 +273,7 @@ def test_large_modulus_stays_exact():
     h = Subgroup.span(M, [[M - 1, np.int64(3), 2**63], [6, 0, M + 4]], 3)
     assert type(h.basis) is tuple and h.basis
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in h.basis)
-    for mod in (codes, spaces, dynamics):
+    for mod in (codes, spaces, dynamics, machines):
         assert not any(_numpy_name(v) for v in vars(mod).values()), mod.__name__
 
 
@@ -370,6 +370,17 @@ def test_howell_kernel_matches_numpy_reference():
             assert got.tolist() == want.tolist(), (M, mat)
             h = Subgroup.span(M, mat, n)
             assert h.basis == tuple(map(tuple, want.tolist())), (M, mat)
+            # the insert kernel: one row at a time, in order and reversed,
+            # the reversed run reading its rows after each insert
+            rows = [[x % M for x in r] for r in mat.tolist()]
+            for ordered, read in ((rows, False), (rows[::-1], True)):
+                form = R.IncrementalHowell(M, n)
+                for r in ordered:
+                    form.insert(r)
+                    if read:
+                        form.rows()
+                assert [list(row) for _, _, row in R.written_out(form.rows(), n)] == want.tolist(), (M, mat)
+                assert form.order == h.order(), (M, mat)
             for _ in range(3):
                 v = [_biased_entry(rng, M, divisors) for _ in range(n)]
                 red = h.reduce(v)

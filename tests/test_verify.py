@@ -82,10 +82,11 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    cut_rows, ending, observer_init, encoder_init, state_at, skips, chains = (
-        dyn.cut_rows, dyn.ending_symbols, mc.StateObserver.__init__,
-        mc.ObserverEncoder.__init__, dyn.state_at, dyn._chain_skips,
-        dyn.output_chains)
+    ending, observer_init, encoder_init, state_at, skips, chains = (
+        dyn.ending_symbols, mc.StateObserver.__init__, mc.ObserverEncoder.__init__,
+        dyn.state_at, dyn._chain_skips, dyn.output_chains)
+    orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
+                                      dyn._cut_heads, R.IncrementalHowell.insert)
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -114,10 +115,19 @@ def _planted_faults():
         return phi_on(code, Interval(lo, interval.hi, wraparound=lo > interval.hi))
 
     def short_past(code):  # past rows one time short: C_{:[0,k-1)} at cut k
-        cuts = cut_rows(code)
-        return tuple(cut._replace(past=cuts[max(k - 1, 0)].past,
-                                  past_order=cuts[max(k - 1, 0)].past_order)
-                     for k, cut in enumerate(cuts))
+        out = heads(code)
+        return out[:1] + out[:-1]
+
+    def long_intervals(code):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
+        return tuple(row[1:] + row[-1:] for row in orders(code))
+
+    def short_windows(code):  # |C_{|[m,n)}| read as |C_{|[m,n-1)}|
+        return tuple(row[:1] + row[:-1] for row in windows(code))
+
+    def pivot_growth(self, row, start=0):  # growth read off the pivot count,
+        before = len(self.pivots())        # so a merge that only lowers a
+        insert(self, row, start)           # pivot entry counts as none
+        return len(self.pivots()) > before
 
     def short_ending(code, times, h):  # Y(S) without S's first time
         if len(times) < 3:
@@ -136,9 +146,8 @@ def _planted_faults():
             for k in range(code.layout.axis_len)]
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
-        N = code.layout.axis_len
-        return (code.order() * dyn._shortened_order(code, m, min(n + 1, N))
-                == dyn._shortened_order(code, 0, n) * dyn._shortened_order(code, m, N))
+        N, table = code.layout.axis_len, orders(code)
+        return code.order() * table[m][min(n + 1, N)] == table[0][n] * table[m][N]
 
     def phi0_off_input(code, k, max_level=None):  # Phi_{[k,k]} as G_k / F_k
         report = chains(code, k, max_level)
@@ -170,7 +179,10 @@ def _planted_faults():
         (dyn, "span_profile", late_profile, "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "granule-factorization"),
         (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
-        (dyn, "cut_rows", short_past, "interval-test-equivalence"),
+        (dyn, "_cut_heads", short_past, "state-size-factorization"),
+        (dyn, "interval_orders", long_intervals, "interval-test-equivalence"),
+        (dyn, "window_orders", short_windows, "interval-test-equivalence"),
+        (R.IncrementalHowell, "insert", pivot_growth, "machine-roundtrip"),
         (dyn, "ending_symbols", short_ending, "granule-factorization"),
         (dyn, "state_at",  # the cut read one time late
          lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
