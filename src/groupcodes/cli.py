@@ -182,7 +182,17 @@ def cmd_syndrome(args) -> int:
     return EXIT_OK
 
 
+def _at_least(args, **bounds: int) -> None:
+    """Reject a count flag below its bound, naming the flag."""
+    for name, low in bounds.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise specfile.SpecFileError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_verify_duality(args) -> int:
+    _at_least(args, trials=0, max_axis=2, max_width=1)
     moduli = tuple(int(tok) for tok in args.modulus_set.split(","))
     summary = verify.run_trials(seed=args.seed, trials=args.trials,
                                 moduli=moduli, max_axis=args.max_axis,
@@ -203,6 +213,7 @@ def cmd_verify_duality(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _at_least(args, at=0, level=0)
     loaded = specfile.load(args.file)
     code = loaded.code
     q = args.quantity

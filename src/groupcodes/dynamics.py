@@ -188,15 +188,14 @@ def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
     written: dict[int, tuple] = {}  # position -> (tail, its full-length row)
     profile: list = [()] * N
     for k, form in _trellis_sweep(code):
+        rows = form.rows()
+        fresh = [(p, d, tail) for p, d, tail in rows
+                 if p not in written or written[p][0] is not tail]
+        for (p, _, tail), (_, _, full) in zip(fresh, residues.written_out(fresh, n, perm)):
+            written[p] = (tail, full)
         by_end: list[list[Row]] = [[] for _ in range(N)]
-        for p, _, tail in form.rows():
-            last = written.get(p)
-            if last is None or last[0] is not tail:
-                full = [0] * n
-                for c, x in zip(perm[p:], tail):
-                    full[c] = x
-                last = written[p] = (tail, tuple(full))
-            by_end[time_at[p]].append(last[1])
+        for p, _, _ in rows:
+            by_end[time_at[p]].append(written[p][1])
         profile[k] = tuple(map(tuple, by_end))
     return tuple(profile)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable
 
-import numpy as np
-
 from .codes import GroupCode
 from .residues import Subgroup
 from .spaces import SymbolLayout
@@ -54,7 +52,10 @@ def code_elements(c: GroupCode, cap: int = DEFAULT_ELEMENT_CAP) -> set[Vec]:
 
 
 def dual_elements(c: GroupCode, cap: int = DEFAULT_AMBIENT_CAP) -> set[Vec]:
-    """All ambient words orthogonal to every basis row, by scanning the space."""
+    """All ambient words orthogonal to every basis row, by scanning the space
+    in bounded ``int64`` chunks; numpy is imported for this scan alone."""
+    import numpy as np
+
     M = c.layout.modulus
     n = c.layout.total_dim
     total = M ** n

@@ -20,16 +20,16 @@ one pass over stacked bases; quotient invariants come from ``snf``.
 Every residue is a plain Python int, which never overflows, so every M
 takes the same path and every answer is exact.  Rows and vectors from outside
 enter through ``Subgroup.span`` and ``as_residue_vector``, which pass each
-entry through ``int``, so integer scalars of any type are taken.  The
-elimination kernels run on int lists and touch only the tail of each row from
-its leading column on: ``howell_form``, the batch kernel; the one reduction
-loop ``reduce_ints`` (behind ``Subgroup.reduce`` and ``contains``, and called
-directly by the machines); and ``IncrementalHowell``, which grows a Howell
-form one row at a time, so that a nested family of spans (the interval
-subcodes and windows of a code, or a growing set of checks) costs one sweep
-of inserts rather than one pass per member.  The only arrays are
-``howell_form``'s argument and result, of dtype ``object``, and
-``howell_pass`` alone builds them.
+entry through ``int``, so integer scalars of any type are taken.  There are
+two elimination routines, both on int lists touching only the tail of each
+row from its leading column on: ``IncrementalHowell``, which grows a Howell
+form one row at a time, and the one reduction loop ``reduce_ints`` (behind
+``Subgroup.reduce`` and ``contains``, and called directly by the machines).
+Every pass is a run of inserts into one fresh form; a nested family of spans
+(the interval subcodes and windows of a code, or a growing set of checks)
+costs one sweep of inserts rather than one pass per member.  No library path
+builds an array: ``howell_form`` is an adapter for array callers and imports
+numpy when called.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from __future__ import annotations
 import operator
 from math import gcd, prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .snf import _xgcd, lattice_quotient_invariants
 
@@ -118,70 +116,6 @@ def _unit_lifting(a: int, M: int) -> tuple[int, int]:
     return d, u % M
 
 
-def howell_form(modulus: int, rows: np.ndarray) -> np.ndarray:
-    """Compute the Howell form of the row span of ``rows`` over Z_M.
-
-    The result is the unique matrix with the following properties whose rows
-    span the same subgroup of (Z_M)^n:
-
-    * rows are nonzero with strictly increasing pivot columns;
-    * every pivot entry divides M;
-    * entries above a pivot are reduced modulo that pivot;
-    * for each row with pivot p, the row (M/p)*row lies in the span of the
-      later rows (the Howell property, which makes greedy coset reduction
-      canonical).
-    """
-    M = check_modulus(modulus)
-    n = rows.shape[1]
-    # A row in play is zero left of its leading column, so it is kept as its
-    # tail from there, queued at that column.  Rows join the queues in the
-    # order they come into play, which is the order a scan of every row in
-    # play would meet them column by column.
-    queues: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def enter(tail: list[int], start: int) -> None:
-        for i, x in enumerate(tail):
-            if x:
-                queues[start + i].append(tail[i:])
-                return
-
-    for r in rows.tolist():
-        enter([x % M for x in r], 0)
-    result: list[tuple[int, int, list[int]]] = []  # (column, divisor, tail)
-    for col in range(n):
-        hits = queues[col]
-        if not hits:
-            continue
-        pivot_row = hits[0]
-        for r in hits[1:]:
-            g, s, t, u, v = _gcdex(pivot_row[0], r[0])
-            residual = [(u * a + v * b) % M for a, b in zip(pivot_row, r)]
-            # when one leading entry divides the other, (s, t) picks a row
-            if (s, t) == (0, 1):
-                pivot_row = r
-            elif (s, t) != (1, 0):
-                pivot_row = [(s * a + t * b) % M for a, b in zip(pivot_row, r)]
-            enter(residual, col)
-        d, unit = _unit_lifting(pivot_row[0], M)
-        if unit != 1:
-            pivot_row = [unit * a % M for a in pivot_row]
-        # Howell closure: (M/d)*row drops out of this column but may carry
-        # information further right; keep it in play.
-        if d != 1:
-            enter([(M // d) * a % M for a in pivot_row], col)
-        result.append((col, d, pivot_row))
-    # Reduce entries above each pivot modulo the pivot.
-    for i in range(len(result) - 2, -1, -1):
-        start, _, row = result[i]
-        for col, d, below in result[i + 1:]:
-            q = row[col - start] // d
-            if q:
-                row[col - start:] = [(a - q * b) % M
-                                     for a, b in zip(row[col - start:], below)]
-    return np.array([[0] * col + row for col, _, row in result],
-                    dtype=object).reshape(len(result), n)
-
-
 def _minus(M: int, a: Sequence[int], q: int, b: Sequence[int]) -> list[int]:
     """a - q*b on two tails that start at one column, each zero past its end."""
     n = len(b)
@@ -204,7 +138,7 @@ class IncrementalHowell:
     and then only for the rows at or above one that changed since the last
     read.  Tails are never changed in place, so a list that ``rows`` returned
     stays valid.  Howell forms are canonical: ``rows`` after any sequence of
-    inserts is ``howell_form`` of the rows inserted.
+    inserts is the Howell form of the rows inserted.
     """
 
     __slots__ = ("modulus", "order", "_at", "_changed")
@@ -314,36 +248,68 @@ class IncrementalHowell:
         return placed
 
 
-def written_out(rows: Tails, width: int) -> list[Pivoted]:
-    """(pivot column, pivot entry, tail) rows, as ``IncrementalHowell.rows``
-    gives them, with each tail written out as a row of ``width`` entries."""
-    return [(c, d, (0,) * c + (*tail,) + (0,) * (width - c - len(tail)))
-            for c, d, tail in rows]
-
-
-def howell_pass(modulus: int, rows: Sequence[Sequence[int]], ambient: int,
+def written_out(rows: Tails, width: int,
                 cols: Sequence[int] | None = None) -> list[Pivoted]:
-    """One ``howell_form`` of int rows of length ``ambient``: (pivot column,
-    pivot entry, row) per Howell row, top row first.
+    """(pivot column, pivot entry, tail) rows, as ``IncrementalHowell.rows``
+    gives them, with each tail written out as a row of ``width`` entries.
+
+    Given ``cols``, the form's column j is column ``cols[j]`` of the rows'
+    own coordinates; pivot columns and rows are given in those, zero off
+    ``cols``.
+    """
+    if cols is None:
+        return [(c, d, (0,) * c + (*tail,) + (0,) * (width - c - len(tail)))
+                for c, d, tail in rows]
+    out = []
+    for p, d, tail in rows:
+        full = [0] * width
+        for c, x in zip(cols[p:], tail):
+            full[c] = x
+        out.append((cols[p], d, tuple(full)))
+    return out
+
+
+def howell_pass(modulus: int, rows: Iterable[Sequence[int]], ambient: int,
+                cols: Sequence[int] | None = None) -> list[Pivoted]:
+    """The Howell form of residue rows (entries in [0, M)) of length
+    ``ambient``: (pivot column, pivot entry, row) per Howell row, top row
+    first, from one ``IncrementalHowell`` fed every row.
 
     Given ``cols``, the pass takes those columns in that order and drops the
     others; pivot columns and rows stay in the rows' own coordinates, zero
-    off ``cols``.  The one place that builds ``howell_form``'s object array.
-    Pivots increase down a Howell form, so one scan finds them all.
+    off ``cols``.
     """
-    mat = np.array(rows, dtype=object).reshape(len(rows), ambient)
-    if cols is None:
-        cols, h = range(ambient), howell_form(modulus, mat)
-    else:
-        taken = howell_form(modulus, mat[:, cols])
-        h = np.zeros((len(taken), ambient), dtype=object)
-        h[:, cols] = taken
-    out, p = [], 0
-    for row in h.tolist():
-        while not row[cols[p]]:
-            p += 1
-        out.append((cols[p], row[cols[p]], tuple(row)))
-    return out
+    form = IncrementalHowell(modulus, ambient if cols is None else len(cols))
+    for r in rows:
+        form.insert(r if cols is None else [r[c] for c in cols])
+    return written_out(form.rows(), ambient, cols)
+
+
+def howell_form(modulus: int, rows):
+    """The Howell form of the row span of the integer array ``rows`` over
+    Z_M, as an array of dtype ``object``.
+
+    The result is the unique matrix with the following properties whose rows
+    span the same subgroup of (Z_M)^n:
+
+    * rows are nonzero with strictly increasing pivot columns;
+    * every pivot entry divides M;
+    * entries above a pivot are reduced modulo that pivot;
+    * for each row with pivot p, the row (M/p)*row lies in the span of the
+      later rows (the Howell property, which makes greedy coset reduction
+      canonical).
+
+    An array-in, array-out adapter over ``howell_pass``, which the package
+    calls directly; it is kept for array callers (the benchmark's tracer
+    looks this name up, and the numpy reference test calls it), and imports
+    numpy when called.
+    """
+    import numpy as np
+
+    M = check_modulus(modulus)
+    n = rows.shape[1]
+    h = howell_pass(M, [[int(x) % M for x in r] for r in rows.tolist()], n)
+    return np.array([row for _, _, row in h], dtype=object).reshape(len(h), n)
 
 
 class Subgroup:

@@ -1,6 +1,9 @@
 """Howell-form subgroup algebra over Z_M."""
 
+import os
 import random
+import subprocess
+import sys
 from types import ModuleType
 
 import numpy as np
@@ -273,8 +276,14 @@ def test_large_modulus_stays_exact():
     h = Subgroup.span(M, [[M - 1, np.int64(3), 2**63], [6, 0, M + 4]], 3)
     assert type(h.basis) is tuple and h.basis
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in h.basis)
-    for mod in (codes, spaces, dynamics, machines):
+    for mod in (R, codes, spaces, dynamics, machines, oracle):
         assert not any(_numpy_name(v) for v in vars(mod).values()), mod.__name__
+    # and the command line runs without loading numpy at all
+    probe = "import sys, groupcodes.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(R.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _numpy_name(value) -> bool:
@@ -356,6 +365,7 @@ def _biased_entry(rng, M, divisors):
 
 def test_howell_kernel_matches_numpy_reference():
     rng = random.Random(20040)
+    col_rng = random.Random(20041)  # column orders, apart from the matrices
     for M in KERNEL_MODULI:
         divisors = [d for d in (2, 3, 4, 6, 8, 9, 12, 1 << 20, 1 << 35, 1 << 64)
                     if M % d == 0 and d < M] or [1]
@@ -381,6 +391,16 @@ def test_howell_kernel_matches_numpy_reference():
                         form.rows()
                 assert [list(row) for _, _, row in R.written_out(form.rows(), n)] == want.tolist(), (M, mat)
                 assert form.order == h.order(), (M, mat)
+            # a pass over some columns in a random order is the reference form
+            # of those columns, written back into the rows' own coordinates
+            cols = col_rng.sample(range(n), col_rng.randint(1, n))
+            taken = _numpy_howell_form(M, mat[:, cols])
+            want_cols = np.zeros((len(taken), n), dtype=object)
+            want_cols[:, cols] = taken
+            got_cols = R.howell_pass(M, rows, n, cols)
+            assert [list(row) for _, _, row in got_cols] == want_cols.tolist(), (M, mat, cols)
+            assert all(row[c] == d and not any(row[j] for j in cols[:cols.index(c)])
+                       for c, d, row in got_cols), (M, mat, cols)
             for _ in range(3):
                 v = [_biased_entry(rng, M, divisors) for _ in range(n)]
                 red = h.reduce(v)

@@ -141,7 +141,7 @@ def test_cli_oracle(pairs_file, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == [2]
 
 
-def test_cli_exit_codes(tmp_path, capsys, rate13_file):
+def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
     broken = tmp_path / "broken.code"
     broken.write_text("{not json")
     assert main(["analyze", str(broken)]) == 2
@@ -152,6 +152,19 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file):
                  ["encode", rate13_file, "--inputs", str(tmp_path)],
                  ["dual", rate13_file, "--out", str(tmp_path)]):
         assert main(argv) == 2, argv
+    # a negative or too-small count is a usage error that names its flag
+    oracle = ["oracle", pairs_file, "--quantity"]
+    for argv, flag in (
+            (oracle + ["controller-granule", "--at", "0", "--level", "-1"], "--level"),
+            (oracle + ["controller-granule", "--at", "0", "--level", "-3"], "--level"),
+            (oracle + ["observer-granule", "--at", "7", "--level", "-1"], "--level"),
+            (oracle + ["observer-granule", "--at", "-1", "--level", "1"], "--at"),
+            (["verify-duality", "--trials", "-5"], "--trials"),
+            (["verify-duality", "--max-axis", "1"], "--max-axis"),
+            (["verify-duality", "--max-width", "0"], "--max-width")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == "", argv
     big = tmp_path / "big.code"
     big.write_text(specfile.dumps_convolutional(catalog.rate_one_third_z4(), 12))
     assert main(["oracle", str(big), "--quantity", "order", "--cap", "100"]) == 3
