@@ -9,7 +9,7 @@ The layers, bottom up:
 * ``machines``       state observer, observer-form encoder, syndrome-former
 * ``convolutional``  windowed time-invariant codes and interior reports
 * ``oracle``         brute-force enumeration ground truth
-* ``verify``         randomized theorem harness
+* ``verify``         the theorem battery, each theorem once, and its runner
 * ``cli``            command-line front end
 """
 

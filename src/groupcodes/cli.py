@@ -193,7 +193,13 @@ def _at_least(args, **bounds: int) -> None:
 
 def cmd_verify_duality(args) -> int:
     _at_least(args, trials=0, max_axis=2, max_width=1)
-    moduli = tuple(int(tok) for tok in args.modulus_set.split(","))
+    try:
+        moduli = tuple(int(tok) for tok in args.modulus_set.split(","))
+    except ValueError:
+        moduli = ()
+    if not moduli or min(moduli) < 2:
+        raise specfile.SpecFileError("--modulus-set must be a comma-separated list "
+                                     f"of ints >= 2, got {args.modulus_set!r}")
     summary = verify.run_trials(seed=args.seed, trials=args.trials,
                                 moduli=moduli, max_axis=args.max_axis,
                                 max_width=args.max_width)
@@ -213,7 +219,7 @@ def cmd_verify_duality(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _at_least(args, at=0, level=0)
+    _at_least(args, at=0, level=0, cap=1)
     loaded = specfile.load(args.file)
     code = loaded.code
     q = args.quantity
@@ -224,6 +230,9 @@ def cmd_oracle(args) -> int:
     elif q == "state-count":
         if args.cut is None:
             raise specfile.SpecFileError("state-count needs --cut")
+        n = code.layout.axis_len
+        if not 0 <= args.cut <= n:
+            raise specfile.SpecFileError(f"--cut must satisfy 0 <= cut <= {n}, got {args.cut}")
         value = oracle.state_count(code, args.cut, args.cap)
     elif q in ("controller-granule", "observer-granule"):
         if args.at is None or args.level is None:

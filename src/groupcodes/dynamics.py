@@ -37,15 +37,17 @@ F_k is read off the code's basis, and the four output chains off two passes,
 one per direction, each nesting all its levels, which one run of inserts per
 pass reads off from the last level up; their successive quotients are the
 granules Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read
-(``ChainReport``).  The routes that the theorems equate with those are kept
-for the theorem battery:
-the one-interval granule functions, ``state_space_routes``,
-``controllability_tests`` and ``observability_tests``,
-``controllable_subcode`` (spans of ``span_profile`` rows),
-``observable_supercode`` (((C^perp)_j)^perp), ``window_supercode`` (C^j as an
-intersection of window lifts) and Phi as C^{j-1}_{|W} / C^j_{|W} in
-``granule_duality_check``.  Only the ``*_check`` helpers, ``verify`` and tests
-call them.
+(``ChainReport``).
+
+The definitional routes that the theorems equate with these live in
+``verify``, each in the theorem that compares it: the state space at any cut
+and its four definitions, C^j as an intersection of window lifts, and Phi as
+C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few routes below,
+which stay here because ``perfbench/spans.py`` traces them by name: the
+one-interval granule functions, ``controllability_tests`` and
+``observability_tests`` (each characterization on its own), and the memoized
+``controllable_subcode`` (spans of ``span_profile`` rows) and
+``observable_supercode`` (((C^perp)_j)^perp).
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
 axis, index searches take an ``interior_margin`` so windowed convolutional
@@ -59,13 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import prod
 from operator import mul
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
-                    lift_restriction, pivot_rows, restricted_subcode,
-                    restriction, shorten)
+                    lift_restriction, pivot_rows, restriction, shorten)
 from .residues import Row, Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout, TimeSubset
 
@@ -93,49 +93,12 @@ class StateSpaceReport:
         return residues.group_order(self.invariants)
 
 
-def state_space(code: GroupCode, times: TimeSubset) -> StateSpaceReport:
-    """Minimal state space across the cut {J, I-J}: C / (C_{:J} + C_{:I-J})."""
-    ts = code.layout.subset(times)
-    comp = code.layout.complement(ts)
-    if not ts or not comp:
-        raise ValueError("state space needs a proper nonempty cut")
-    return StateSpaceReport(ts, quotient_invariants(
-        code.carrier, residues.add(shorten(code, ts).carrier,
-                                   shorten(code, comp).carrier)))
-
-
-def state_space_routes(code: GroupCode, times: TimeSubset) -> dict[str, Invariants]:
-    """The four state-space definitions at one cut, which the theorems equate.
-
-    ``two_sided`` is ``state_space``'s; the one-sided ones are C_{|J} / C_{|:J}
-    and C_{|I-J} / C_{|:I-J}, and ``reciprocal`` is (C_{|J} x C_{|I-J}) / C.
-    """
-    two_sided = state_space(code, times).invariants  # rejects improper cuts
-    ts = code.layout.subset(times)
-    comp = code.layout.complement(ts)
-    return {
-        "two_sided": two_sided,
-        "one_sided_past": quotient_invariants(
-            restriction(code, ts).carrier, restricted_subcode(code, ts).carrier),
-        "one_sided_future": quotient_invariants(
-            restriction(code, comp).carrier, restricted_subcode(code, comp).carrier),
-        "reciprocal": quotient_invariants(cut_product(code, ts).carrier, code.carrier),
-    }
-
-
 def state_at(code: GroupCode, k: int) -> StateSpaceReport:
     """State space at the cut before time k: C / ``cut_sum(code, k)``."""
     if not 1 <= k <= code.layout.axis_len - 1:
         raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1")
     return StateSpaceReport(code.layout.subset(range(0, k)),
                             quotient_invariants(code.carrier, cut_sum(code, k)))
-
-
-def dual_state_space_check(code: GroupCode, times: TimeSubset) -> bool:
-    """State spaces of dual codes are character groups of each other, hence
-    isomorphic in the finite abelian case."""
-    return (state_space(code, times).invariants
-            == state_space(dual(code), times).invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +258,10 @@ def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
 def observable_supercode(code: GroupCode, level: int) -> GroupCode:
     """C^j: all words that look like codewords through every length-(j+1) window.
 
-    Read off the dual as ((C^perp)_j)^perp; ``window_supercode`` is the
-    definition.
+    Read off the dual as ((C^perp)_j)^perp; ``verify.window_supercode`` is
+    the definition.
     """
     return dual(controllable_subcode(dual(code), level))
-
-
-def window_supercode(code: GroupCode, level: int) -> GroupCode:
-    """C^j by definition: the intersection of the lifts of every window."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    n = code.layout.axis_len
-    j = min(level, n - 1)
-    acc = GroupCode.full(code.layout)
-    for k in range(0, n - j):
-        acc = code_intersect(acc, lift_restriction(code, code.layout.interval(k, k + j)))
-    return acc
-
-
-def subcode_supercode_duality_check(code: GroupCode, level: int) -> bool:
-    """(C^perp)^j == (C_j)^perp, with (C^perp)^j by its definition."""
-    return code_equal(window_supercode(dual(code), level),
-                      dual(controllable_subcode(code, level)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,47 +340,6 @@ def _check_interval(code: GroupCode, k: int, level: int) -> None:
     if k < 0 or k + level > code.layout.axis_len - 1:
         raise ValueError(
             f"interval [{k}, {k + level}] not inside axis of length {code.layout.axis_len}")
-
-
-def granule_duality_check(code: GroupCode, k: int, level: int) -> bool:
-    """Phi_{[k,k+j]}(C) acts as the character group of Gamma_{[k,k+j]}(C^perp):
-    as finite abelian groups they share invariant factors.  Phi is taken here
-    by its supercode definition, C^{j-1}_{|W} / C^j_{|W} on the window
-    W = [k, k+j], with each C^j an intersection of window lifts."""
-    gamma = controller_granule(dual(code), k, level)  # rejects bad intervals
-    window = code.layout.interval(k, k + level)
-    num = (restriction(window_supercode(code, level - 1), window).carrier if level
-           else Subgroup.full(code.layout.modulus, code.layout.widths[k]))
-    den = restriction(window_supercode(code, level), window).carrier
-    return quotient_invariants(num, den) == gamma
-
-
-def end_around_check(code: GroupCode, m: int, n: int) -> bool:
-    """Gamma over the end-around interval [n, m] matches Phi over [m, n]."""
-    if not 0 <= m < n <= code.layout.axis_len - 1:
-        raise ValueError("end-around check needs 0 <= m < n <= N-1")
-    gamma = end_around_controller_granule(code, Interval(n, m, wraparound=True))
-    return gamma == observer_granule(code, m, n - m)
-
-
-def end_around_dual_check(code: GroupCode, m: int, n: int) -> bool:
-    """The mirrored statement: end-around Phi matches ordinary Gamma."""
-    if not 0 <= m < n <= code.layout.axis_len - 1:
-        raise ValueError("end-around check needs 0 <= m < n <= N-1")
-    phi = end_around_observer_granule(code, Interval(n, m, wraparound=True))
-    return phi == controller_granule(code, m, n - m)
-
-
-def state_order_from_controller_granules(code: GroupCode, k: int) -> int:
-    """Product of the orders of the controller granules active at cut k:
-    all in-range intervals straddling the boundary between k-1 and k."""
-    return prod(residues.group_order(controller_granule(code, a, b - a))
-                for a in range(0, k) for b in range(k, code.layout.axis_len))
-
-
-def state_order_from_observer_granules(code: GroupCode, k: int) -> int:
-    return prod(residues.group_order(observer_granule(code, a, b - a))
-                for a in range(0, k) for b in range(k, code.layout.axis_len))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +456,6 @@ def controllability_index(code: GroupCode, interior_margin: int = 0) -> int | No
 def observability_index(code: GroupCode, interior_margin: int = 0) -> int | None:
     """Observer memory: least L making all interior length-L intervals pass."""
     return _index_search(code, interior_margin, observable_on)
-
-
-def l_finite_check(code: GroupCode, level: int) -> bool:
-    """L-finiteness: the code is generated by its length-(L+1) interval words."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return code_equal(controllable_subcode(code, level), code)
 
 
 # ---------------------------------------------------------------------------
@@ -680,18 +577,3 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
                                                for f, df, la, dl in skips))
     return ChainReport(code=code, time=k, first_output=first, last_output=last,
                        dual_first=dual_first, dual_last=dual_last)
-
-
-def chain_granule_consistency_check(code: GroupCode, k: int, level: int) -> bool:
-    """Chain quotients equal their granules wherever the intervals fit."""
-    report = output_chains(code, k, level)
-    ok = True
-    for j in range(0, level + 1):
-        if k + j <= code.layout.axis_len - 1:
-            ok &= report.first_quotients[j] == controller_granule(code, k, j)
-            ok &= report.observer_granules[j] == observer_granule(code, k, j)
-        if k - j >= 0:
-            ok &= report.last_quotients[j] == controller_granule(code, k - j, j)
-            if j >= 1:
-                ok &= report.dual_first_quotients[j - 1] == observer_granule(code, k - j, j)
-    return ok

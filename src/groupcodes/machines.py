@@ -37,13 +37,12 @@ new symbol to a running sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from operator import mul
 from random import Random
 from typing import NamedTuple, Sequence
 
 from . import dynamics, residues
-from .codes import GroupCode, dual, pivot_rows, restriction, shorten
+from .codes import GroupCode, dual, pivot_rows
 from .residues import Subgroup
 
 
@@ -308,58 +307,3 @@ class SyndromeFormer:
 def input_group_orders(code: GroupCode) -> list[int]:
     return [dynamics.first_output_group(code, k).order()
             for k in code.layout.times()]
-
-
-def roundtrip_check(code: GroupCode, trials: int = 25,
-                    rng: Random | None = None) -> bool:
-    """Encoder, observer, and syndrome-former agree on random traffic.
-
-    The syndrome-former's memory is the encoder's; the observer's state count
-    at every cut matches the orders of the two shortenings; encoded words have
-    all-zero syndromes and per-time states matching the full-word observer;
-    perturbations by non-codewords are flagged; and the input groups account
-    for the code exactly.
-    """
-    rng = rng or Random(0)
-    enc = ObserverEncoder(code)
-    sf = SyndromeFormer(code)
-    if sf.memory != enc.memory:
-        return False
-    layout = code.layout
-    M, N, L = layout.modulus, layout.axis_len, enc.memory
-    # C_{|[k-L,k]} -> C_{|[k-L,k)} is onto with kernel 0 x Y([k-L, k])
-    for k in range(N):
-        lo = max(0, k - L)
-        window = restriction(code, layout.subset(range(lo, k))).order() if k > lo else 1
-        if (enc._zero_extension[k].order() * window
-                != restriction(code, layout.interval(lo, k)).order()):
-            return False
-    # |C_{:[0,k)} + C_{:[k,N)}| is the product of the two orders: they meet trivially
-    for k in range(N + 1):
-        past = shorten(code, layout.subset(range(0, k))).order()
-        future = shorten(code, layout.subset(range(k, N))).order()
-        if enc.observer.state_count(k) != code.order() // (past * future):
-            return False
-    if prod(input_group_orders(code)) != code.order():
-        return False
-    for _ in range(trials):
-        word, trace = enc.encode(enc.random_inputs(rng))
-        if not sf.is_member(word):
-            return False
-        for k, step in enumerate(trace.steps):
-            if enc.observer.observe_codeword(word, k) != step.state:
-                return False
-    if code.order() == M ** layout.total_dim:
-        return True  # full space: no perturbation outside the code exists
-    for _ in range(trials):
-        coeffs = [rng.randrange(M) for _ in range(code.carrier.num_generators)]
-        c = [0] * layout.total_dim
-        for q, row in zip(coeffs, code.carrier.basis):
-            c = [(a + q * b) % M for a, b in zip(c, row)]
-        while True:
-            e = [rng.randrange(M) for _ in range(layout.total_dim)]
-            if not code.contains(e):
-                break
-        if sf.is_member([(a + b) % M for a, b in zip(c, e)]):
-            return False
-    return True

@@ -66,7 +66,8 @@ def loads(text: str) -> LoadedCode:
     doc = parse_json(text, "spec")
     _require(isinstance(doc, dict), "top level must be an object")
     version = doc.get("format_version", FORMAT_VERSION)
-    _require(version == FORMAT_VERSION, f"unsupported format_version {version}")
+    _require(_is_int(version) and version == FORMAT_VERSION,
+             f"unsupported format_version {version}")
     kind = doc.get("kind")
     _require(kind in ("explicit", "convolutional"),
              "kind must be 'explicit' or 'convolutional'")
@@ -75,7 +76,8 @@ def loads(text: str) -> LoadedCode:
     name = doc.get("name", "")
     _require(isinstance(name, str), "name must be a string")
     margin = doc.get("margin")
-    _require(margin is None or _is_int(margin), "margin must be an int")
+    _require(margin is None or _is_int(margin) and margin >= 0,
+             "margin must be an int >= 0")
     if kind == "explicit":
         axis = doc.get("axis")
         _require(_is_int(axis) and axis >= 1, "axis must be an int >= 1")

@@ -52,7 +52,7 @@ def test_criterion_03_granules(rate13):
         assert dyn.observer_granule(d, k, 2) == (2,)
     for k in range(0, 12):
         for j in range(0, 12 - k):
-            assert dyn.granule_duality_check(code, k, j)
+            assert verify.granule_duality(code, k, j) is None
     _report("criterion 3: granule table values and granule duality at every (k, j)")
 
 

@@ -209,7 +209,7 @@ def test_syndrome_former_flags_perturbations(rate13):
 
 def test_roundtrip_fixtures(rate13, repetition6, pairs8):
     for wc in (rate13, repetition6, pairs8):
-        assert mc.roundtrip_check(wc.code, trials=10, rng=random.Random(1))
+        assert verify.machine_roundtrip(wc.code, random.Random(1), trials=10) is None
 
 
 def test_roundtrip_random_codes():
@@ -217,7 +217,7 @@ def test_roundtrip_random_codes():
     for _ in range(10):
         code = random_code(rng, rng.choice([2, 3, 4]), rng.randint(2, 6),
                            width=rng.choice([1, 2]))
-        assert mc.roundtrip_check(code, trials=3, rng=rng)
+        assert verify.machine_roundtrip(code, rng, trials=3) is None
 
 
 def test_machines_past_int64():
@@ -230,4 +230,4 @@ def test_machines_past_int64():
     assert code.contains(word)
     assert code.layout.split_symbols(word) == trace.symbols()
     assert mc.SyndromeFormer(code).is_member(word)
-    assert mc.roundtrip_check(code, trials=3, rng=random.Random(4))
+    assert verify.machine_roundtrip(code, random.Random(4), trials=3) is None

@@ -63,6 +63,8 @@ def test_malformed_documents():
                     "generators": [[1, 2, 3]]}),
         json.dumps({"format_version": 7, "kind": "explicit", "modulus": 4, "axis": 1}),
         json.dumps({"kind": "explicit", "modulus": 4, "axis": 1, "name": ["x"]}),
+        json.dumps({"kind": "convolutional", "modulus": 4, "width": 1,
+                    "generators": [[[1], [1]]], "window": 6, "margin": -1}),
     ]:
         with pytest.raises(specfile.SpecFileError):
             specfile.loads(doc)
@@ -161,10 +163,19 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
             (oracle + ["observer-granule", "--at", "-1", "--level", "1"], "--at"),
             (["verify-duality", "--trials", "-5"], "--trials"),
             (["verify-duality", "--max-axis", "1"], "--max-axis"),
-            (["verify-duality", "--max-width", "0"], "--max-width")):
+            (["verify-duality", "--max-width", "0"], "--max-width"),
+            (["verify-duality", "--modulus-set", "2,,3"], "--modulus-set"),
+            (oracle + ["order", "--cap", "-1"], "--cap"),
+            (oracle + ["order", "--cap", "0"], "--cap"),
+            (oracle + ["state-count", "--cut", "99"], "--cut"),
+            (oracle + ["state-count", "--cut", "9"], "--cut"),
+            (oracle + ["state-count", "--cut", "-1"], "--cut")):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", argv
+    for cut in ("0", "8"):  # the cuts at the ends of the axis stay accepted
+        assert main(oracle + ["state-count", "--cut", cut]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1
     big = tmp_path / "big.code"
     big.write_text(specfile.dumps_convolutional(catalog.rate_one_third_z4(), 12))
     assert main(["oracle", str(big), "--quantity", "order", "--cap", "100"]) == 3
@@ -184,6 +195,7 @@ def test_json_booleans_are_not_ints(tmp_path, capsys, rate13_file):
         ({**conv, "generators": [[[True], [1]]]}, "generators"),
         ({**conv, "patterns": [[[False]]]}, "patterns"),
         ({**conv, "margin": True}, "margin"),
+        ({**conv, "format_version": True}, "format_version"),
         ({**conv, "modulus": True}, "modulus"),
         ({**expl, "axis": True, "widths": [1]}, "axis"),
         ({**expl, "widths": [True, 1]}, "widths"),

@@ -78,9 +78,9 @@ def _planted_faults():
     """(module, route, off-by-one replacement, check that must catch it) for
     every library route and every definitional route the battery compares."""
     ss, routes, ctrl, obs, sup, ctests, otests, win, profile, phi_on = (
-        dyn.state_space, dyn.state_space_routes, dyn.controllable_on,
+        verify.state_space, verify.state_space_routes, dyn.controllable_on,
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
-        dyn.observability_tests, dyn.window_supercode, dyn.span_profile,
+        dyn.observability_tests, verify.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
     ending, observer_init, encoder_init, state_at, skips, chains = (
         dyn.ending_symbols, mc.StateObserver.__init__, mc.ObserverEncoder.__init__,
@@ -163,7 +163,7 @@ def _planted_faults():
         return tuple(d for d in snf.smith_diagonal(block) if d > 1)
 
     return [
-        (dyn, "state_space", lambda code, times: ss(code, _rotated(code, times)),
+        (verify, "state_space", lambda code, times: ss(code, _rotated(code, times)),
          "state-space-four-way"),
         (dyn, "controllable_on",
          lambda code, m, n: ctrl(code, m, min(n + 1, code.layout.axis_len)),
@@ -172,10 +172,10 @@ def _planted_faults():
          "interval-test-equivalence"),
         (dyn, "observable_supercode", lambda code, j: sup(code, j + 1),
          "granule-factorization"),
-        (dyn, "state_space_routes", bad_routes, "state-space-four-way"),
+        (verify, "state_space_routes", bad_routes, "state-space-four-way"),
         (dyn, "controllability_tests", bad_puncture, "interval-test-equivalence"),
         (dyn, "observability_tests", bad_window_lift, "interval-test-equivalence"),
-        (dyn, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
+        (verify, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
         (dyn, "span_profile", late_profile, "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "granule-factorization"),
         (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
