@@ -20,29 +20,37 @@ that are not strongly observable simply get L close to the axis length.
 State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
 
-Everything a step needs is built with the machine: at each cut, the
-observer's section (one ``codes.pivot_rows`` pass giving the lift rows of the
-window and the zero extension Y([k-L, k]), which the encoder reads off it)
-and its label reducer ``dynamics.cut_sum``, read off one sweep of inserts for
-the whole code.  The memory L is read off ``dynamics``' cached order tables,
-with no Howell pass.  The syndrome former keeps each check of the dual's span
-profile that grows the Howell form of the checks kept so far, one
-``residues.IncrementalHowell`` insert per candidate, and sorts its checks by
-the times they cover.  A step then runs on plain int lists:
-each reduction is one call of ``residues.reduce_ints`` on a Howell form's
-rows, and a syndrome step adds each covering check's dot product with the
-new symbol to a running sum.
+Everything a step needs is built with the machine.  At each cut k the
+observer keeps its label reducer D_k = ``dynamics.cut_sum(code, k)``, read
+off one sweep of inserts for the whole code, and one step table: a
+``residues.IncrementalHowell`` started from D_k, into which each basis row of
+the code that touches the window W = [k-L, k) is inserted as its W part
+followed by the whole row.  The form's rows that pivot in W lift a window to
+a codeword already reduced by D_k, which the table negates.  An observer or encoder step is then
+one ``residues.reduce_ints`` call on the window followed by zeros, and what
+is left past W is the canonical label on the columns that are not unit
+pivots of D_k.  Two identities make that one call enough.  By
+L-observability every codeword that vanishes on W lies in D_k, so the label
+does not depend on the lift.  The symbols that can follow the window are
+c_k + Y([k-L, k]) for any codeword c through it, and Y([k-L, k]) = F_k, so
+the encoder's base symbol is the label's own block k.  The memory L is read
+off ``dynamics``' cached order tables, with no Howell pass.  The syndrome
+former keeps each check of the dual's span profile that grows the Howell
+form of the checks kept so far, one ``residues.IncrementalHowell`` insert per
+candidate, and sorts its checks by the times they cover; a syndrome step
+adds each covering check's dot product with the new symbol to a running sum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul
 from random import Random
 from typing import NamedTuple, Sequence
 
 from . import dynamics, residues
-from .codes import GroupCode, dual, pivot_rows
+from .codes import GroupCode, dual
 from .residues import Subgroup
 
 
@@ -87,40 +95,68 @@ class MachineTrace:
                           for s in self.steps]}
 
 
-class _Section(NamedTuple):
-    """The observer's data at cut k, from one ``pivot_rows`` pass over the
-    code's basis with the times in the order W = [k-L, k), k, the rest.
+class _StepTable(NamedTuple):
+    """The observer's step at cut k: one ``residues.reduce_ints`` call on the
+    window W = [lo, k) followed by zeros.
 
-    The rows that pivot in W restrict to a Howell basis of C_{|W}.  Each is
-    kept, for ``residues.reduce_ints``, as its W part from the pivot on
-    followed by the negated full-length codeword it came from, so reducing a
-    window followed by n zeros leaves the window's residual followed by a
-    codeword through the window.  The rows that pivot in block k vanish on W,
-    so their block-k parts span Y([k-L, k]), the symbols that can follow the
-    zero window; as the leading part of a Howell form they are its Howell
-    basis, the one ``dynamics.ending_symbols`` returns.
+    Let D_k = ``dynamics.cut_sum(code, k)``.  A canonical representative
+    modulo D_k is zero on the unit pivot columns of D_k, and so is every
+    other row of D_k's Howell basis; the remaining columns are the label's.
+    ``rows`` first holds the lift rows: their W parts, from the pivot on,
+    are the Howell basis of C_{|W}, and each is followed by the negation of
+    its lift codeword reduced by D_k, on the label's columns.  Then come
+    D_k's rows whose pivot entry is not 1, on the label's columns.  The
+    reduction leaves zeros on W exactly when the window is in C_{|W}.  The
+    rest is then the canonical label of a codeword through the window: by
+    L-observability every codeword that vanishes on W lies in D_k, so the
+    label does not depend on the lift.
     """
 
-    window: int                             # coordinates in W
-    lifts: list[tuple[int, int, list[int]]]
-    ending: Subgroup | None                 # Y([k-L, k]); None at k = N
+    lo: int                     # the window W = [lo, k)
+    width: int                  # coordinates in W
+    rows: list[tuple[int, int, list[int]]]
+    zeros: list[int]            # one per label column
+    places: tuple[int, ...]     # per coordinate of the label, its place in the
+                                # reduced list, or -1 (a unit pivot column of D_k)
 
 
-def _section(code: GroupCode, lo: int, k: int) -> _Section:
+def _step_table(code: GroupCode, denom: Subgroup, lo: int, k: int) -> _StepTable:
+    """The step table at cut k, D_k = ``denom``, for the window [lo, k).
+
+    One Howell form of rows [x_{|W} | x], started from D_k's rows as
+    [0 | D_k], into which each basis row x of the code that touches W is
+    inserted.  The others vanish on W, so they lie in D_k and add nothing.
+    The form's rows that pivot in W are the lift rows, reduced by D_k, and
+    the table negates their second parts.  Every element of the span that
+    vanishes on W is in [0 | D_k], so no other row is added.
+    """
     layout = code.layout
-    M, N, starts = layout.modulus, layout.axis_len, layout.starts
-    a, b, c = starts[lo], starts[k], starts[min(k + 1, N)]  # block k is [b, c)
-    # basis rows that pivot from c on vanish on W and block k: they add
-    # nothing to either restriction, and any lift is as good as another
-    top = sum(1 for col, _ in code.carrier.pivots if col < c)
-    order = [*range(lo, min(k + 1, N)), *range(lo), *range(k + 1, N)]
-    lifts, ending = [], []
-    for i, col, d, row in pivot_rows(layout, code.carrier.basis[:top], order):
-        if i < k - lo:
-            lifts.append((col - a, d, [*row[col:b], *(-x % M for x in row)]))
-        elif i == k - lo:
-            ending.append((col - b, d, row[b:c]))
-    return _Section(b - a, lifts, Subgroup(M, c - b, ending) if k < N else None)
+    M, n, starts = layout.modulus, layout.total_dim, layout.starts
+    a, b = starts[lo], starts[k]  # W is [a, b)
+    w = b - a
+    form = residues.IncrementalHowell(M, w + n, [(w + c, d, t) for c, d, t in denom.tails])
+    for row in code.carrier.basis:
+        if any(row[a:b]):
+            form.insert(row[a:b] + row)
+    unit = {c for c, d in denom.pivots if d == 1}
+    cols = [c for c in range(n) if c not in unit]  # the label's columns
+    place = [-1] * n  # where a step leaves each coordinate of the label
+    for j, c in enumerate(cols, w):
+        place[c] = j
+    rows = []
+    for p, d, t in form.rows():
+        if p < w or d != 1:
+            end = len(t)  # each row is kept up to its last nonzero entry
+            while not t[end - 1]:
+                end -= 1
+            if p < w:  # its W part, then its lift's second part, negated
+                rows.append((p, d, [*t[:w - p], *[-t[w - p + c] % M for c in
+                                                 cols[:bisect_left(cols, end - w + p)]]]))
+            else:
+                c0 = p - w
+                rows.append((place[c0], d, [t[c - c0] for c in
+                                            cols[place[c0] - w:bisect_left(cols, c0 + end)]]))
+    return _StepTable(lo, w, rows, [0] * len(cols), tuple(place))
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -131,6 +167,13 @@ def machine_memory(code: GroupCode) -> int:
     return L
 
 
+def _check_cut(code: GroupCode, k: int) -> int:
+    N = code.layout.axis_len
+    if not 0 <= k <= N:
+        raise ValueError(f"cut {k} outside 0..{N}")
+    return k
+
+
 class StateObserver:
     """Sliding-window map from recent output symbols to minimal-state labels."""
 
@@ -138,43 +181,52 @@ class StateObserver:
         self.code = code
         self.memory = machine_memory(code)
         N = code.layout.axis_len
-        # label reducers C_{:[0,k)} + C_{:[k,N)} and sections, at each cut k
+        # label reducers C_{:[0,k)} + C_{:[k,N)} and step tables, at each cut k
         self._denoms = [dynamics.cut_sum(code, k) for k in range(N + 1)]
-        self._sections = [_section(code, max(0, k - self.memory), k)
-                          for k in range(N + 1)]
+        self._tables = [_step_table(code, d, max(0, k - self.memory), k)
+                        for k, d in enumerate(self._denoms)]
 
     def window_times(self, k: int) -> list[int]:
-        return list(range(max(0, k - self.memory), k))
+        return list(range(max(0, _check_cut(self.code, k) - self.memory), k))
 
     def state_count(self, k: int) -> int:
-        return self.code.order() // self._denoms[k].order()
+        return self.code.order() // self._denoms[_check_cut(self.code, k)].order()
 
     def observe_codeword(self, word: Sequence[int], k: int) -> Vec:
         """Label of the state of a full codeword at cut k."""
+        denom = self._denoms[_check_cut(self.code, k)]
         if not self.code.contains(word):
             raise WindowNotInRestriction("word is not a codeword")
-        return tuple(self._denoms[k].reduce(word))
+        return tuple(denom.reduce(word))
 
     def observe(self, window: Sequence[int], k: int) -> Vec:
         """Label computed from the last ``memory`` symbols before cut k."""
-        return self._observe(window, k)[0]
-
-    def _observe(self, window: Sequence[int], k: int) -> tuple[Vec, list[int]]:
-        """The label, and a codeword whose restriction is the window."""
+        table = self._tables[_check_cut(self.code, k)]
         M = self.code.layout.modulus
-        section = self._sections[k]
-        w = section.window
-        r = residues.as_residue_vector(M, window, w) + [0] * self.code.layout.total_dim
-        residues.reduce_ints(M, section.lifts, r)
-        if any(r[:w]):
+        return self._label(table, residues.as_residue_vector(M, window, table.width), k)
+
+    def _label(self, table: _StepTable, r: list[int], k: int) -> Vec:
+        """The label at cut k of the window ``r``, residues in [0, M), from
+        one reduction by the cut's step table; ``r`` is consumed."""
+        r += table.zeros
+        residues.reduce_ints(self.code.layout.modulus, table.rows, r)
+        if any(r[:table.width]):
             raise WindowNotInRestriction(
-                f"window is not in the code's restriction to times {self.window_times(k)}")
-        lifted = r[w:]
-        return tuple(residues.reduce_ints(M, self._denoms[k].tails, lifted[:])), lifted
+                f"window is not in the code's restriction to times {list(range(table.lo, k))}")
+        r.append(0)  # the zero that place -1 reads
+        return tuple(map(r.__getitem__, table.places))
 
 
 class ObserverEncoder:
-    """Minimal observer-form encoder: free inputs from F_k, window memory L."""
+    """Minimal observer-form encoder: free inputs from F_k, window memory L.
+
+    The symbols that can follow a window W = [k-L, k) are c_k + Y([k-L, k])
+    for any codeword c through it, and Y([k-L, k]) = F_k by L-observability.
+    The block-k part of the label at cut k is c_k reduced by F_k (the rows of
+    D_k that pivot in block k are F_k's Howell basis, and no other row of
+    D_k reduces it), so it is the canonical base symbol, and the emitted
+    symbol is that plus the input.
+    """
 
     def __init__(self, code: GroupCode):
         self.code = code
@@ -182,8 +234,6 @@ class ObserverEncoder:
         self.memory = self.observer.memory
         n = code.layout.axis_len
         self.input_groups = [dynamics.first_output_group(code, k) for k in range(n)]
-        # the symbols that extend the zero window at each time: Y([k-L, k])
-        self._zero_extension = [s.ending for s in self.observer._sections[:n]]
 
     def random_inputs(self, rng: Random) -> list[Vec]:
         out = []
@@ -202,33 +252,26 @@ class ObserverEncoder:
         if len(inputs) != n:
             raise ValueError(f"need one input per time ({n})")
         M, starts = layout.modulus, layout.starts
-        emitted: list[list[int]] = []
+        observer, tables = self.observer, self.observer._tables
+        word: list[int] = []
         trace = MachineTrace()
         for k in range(n):
             try:
                 inp = residues.as_residue_vector(M, inputs[k], layout.widths[k])
             except ValueError as e:
                 raise InputNotInInputGroup(f"input at time {k}: {e}") from None
-            if not self.input_groups[k].contains(inp):
+            if any(residues.reduce_ints(M, self.input_groups[k].tails, inp[:])):
                 raise InputNotInInputGroup(
                     f"input {tuple(inp)} at time {k} is outside F_{k}")
-            # the symbols that follow the window are c_k + _zero_extension[k]
-            # for any codeword c through it; the base is their canonical one
-            state, c = self.observer._observe(self._current_window(emitted, k), k)
-            base = residues.reduce_ints(M, self._zero_extension[k].tails,
-                                        c[starts[k]:starts[k + 1]])
-            symbol = [(a + b) % M for a, b in zip(base, inp)]
-            emitted.append(symbol)
-            trace.steps.append(TraceStep(time=k, state=state, symbol=tuple(symbol),
-                                         inp=tuple(inp)))
-        word = [x for symbol in emitted for x in symbol]
+            table = tables[k]
+            state = observer._label(table, word[starts[table.lo]:], k)
+            symbol = tuple((a + b) % M for a, b in zip(state[starts[k]:starts[k + 1]], inp))
+            word += symbol
+            trace.steps.append(TraceStep(time=k, state=state, symbol=symbol, inp=tuple(inp)))
         if not self.code.contains(word):
             raise dynamics.InternalInconsistency(
                 "encoder produced a word outside the code")
         return word, trace
-
-    def _current_window(self, emitted: list[list[int]], k: int) -> list[int]:
-        return [x for symbol in emitted[max(0, k - self.memory):k] for x in symbol]
 
 
 def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]:
@@ -279,6 +322,7 @@ class SyndromeFormer:
                 (self._ending if k == hi else self._active)[k].append(i)
 
     def syndrome_width(self, k: int) -> int:
+        self.code.layout.block(k)  # a time off the axis raises ValueError
         return len(self._ending[k])
 
     def form(self, word: Sequence[int]) -> tuple[list[Vec], MachineTrace]:

@@ -76,15 +76,17 @@ def reduce_ints(modulus: int, tails: Tails, r: list[int]) -> list[int]:
     """Greedy reduction of the int list ``r`` in place, and return it.
 
     ``tails`` holds (pivot column, pivot entry, row from the pivot on) for
-    each row of a Howell form, top row first (``Subgroup.tails``); each tail
-    runs to the end of ``r``.  Against a Howell basis the result is the
-    canonical representative of the coset of ``r``.
+    each row of a Howell form, top row first (``Subgroup.tails``); a tail
+    may stop short of the end of ``r``, and is zero past its end.  Against a
+    Howell basis the result is the canonical representative of the coset of
+    ``r``.
     """
     M = modulus
     for col, d, tail in tails:
         q = r[col] // d
         if q:
-            r[col:] = [(a - q * b) % M for a, b in zip(r[col:], tail)]
+            end = col + len(tail)
+            r[col:end] = [(a - q * b) % M for a, b in zip(r[col:end], tail)]
     return r
 
 

@@ -333,11 +333,13 @@ def machine_roundtrip(code: GroupCode, rng: Random, trials: int = 2) -> dict | N
         return {}
     layout = code.layout
     M, N, L = layout.modulus, layout.axis_len, enc.memory
-    # C_{|[k-L,k]} -> C_{|[k-L,k)} is onto with kernel 0 x Y([k-L, k])
+    # C_{|[k-L,k]} -> C_{|[k-L,k)} is onto with kernel 0 x Y([k-L, k]), and
+    # F_k <= Y([k-L, k]): equal orders are the identity Y([k-L, k]) = F_k
+    # that lets the encoder read its base symbol off the state label
     for k in range(N):
         lo = max(0, k - L)
         window = restriction(code, layout.subset(range(lo, k))).order() if k > lo else 1
-        if (enc._zero_extension[k].order() * window
+        if (enc.input_groups[k].order() * window
                 != restriction(code, layout.interval(lo, k)).order()):
             return {}
     # |C_{:[0,k)} + C_{:[k,N)}| is the product of the two orders: they meet trivially

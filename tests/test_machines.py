@@ -79,6 +79,45 @@ def test_observer_rejects_garbage(repetition6):
         obs.observe_codeword([1, 2, 1, 1, 1, 1], 3)
 
 
+def test_observer_labels_past_non_unit_pivots():
+    # the step table ends with D_k's rows whose pivot entry is not 1: the
+    # encoder's states and the window labels must match the full-word labels
+    # at every cut, on codes where some D_k has such a pivot
+    rng = random.Random(31)
+    non_unit = 0
+    for M in (4, 8, 9, 2**64 + 13):
+        for _ in range(6):
+            code = verify.random_code(rng, (M,), 6, 2)
+            enc = mc.ObserverEncoder(code)
+            obs, lay = enc.observer, code.layout
+            non_unit += any(d != 1 for denom in obs._denoms for _, d in denom.pivots)
+            for _ in range(3):
+                word, trace = enc.encode(enc.random_inputs(rng))
+                for k in range(lay.axis_len + 1):
+                    label = obs.observe_codeword(word, k)
+                    window = word[lay.starts[max(0, k - obs.memory)]:lay.starts[k]]
+                    assert obs.observe(window, k) == label
+                    if k < lay.axis_len:
+                        assert trace.steps[k].state == label
+    assert non_unit
+
+
+def test_machines_reject_cuts_off_the_axis():
+    code = GroupCode.from_generators(SymbolLayout.uniform(4, 3), [[1, 1, 1]])
+    obs, sf = mc.StateObserver(code), mc.SyndromeFormer(code)
+    word = [2, 2, 2]
+    for k in (-1, 4):
+        for call in (lambda: obs.observe([2], k), lambda: obs.observe_codeword(word, k),
+                     lambda: obs.state_count(k), lambda: obs.window_times(k)):
+            with pytest.raises(ValueError, match=f"cut {k} outside 0..3"):
+                call()
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"time {k} outside axis of length 3"):
+            sf.syndrome_width(k)
+    assert obs.state_count(3) == 1 and obs.observe_codeword(word, 3) == (0, 0, 0)
+    assert obs.window_times(3) == [2] and sf.syndrome_width(2) == 1
+
+
 # --- encoder -------------------------------------------------------------------
 
 def test_encoder_zero_inputs_give_zero_codeword(rate13):

@@ -79,16 +79,23 @@ def test_fast_path_agreement_many_instances():
         observer = mc.StateObserver(code)
         assert oracle.state_count(code, k) == dyn.state_at(code, k).order \
             == observer.state_count(k)
-        # each cut's section pass and label reducer against their definitions
+        # each cut's label reducer against its definition; F_k is Y([k-L, k]),
+        # the symbols that follow a zero window; and the window observer
+        # agrees with the full-word one on an encoded word
         lay, L = code.layout, observer.memory
-        for cut, section in enumerate(observer._sections):
+        enc = mc.ObserverEncoder(code)
+        word, _ = enc.encode(enc.random_inputs(random.Random(0)))
+        for cut in range(n + 1):
             past = shorten(code, lay.subset(range(0, cut))).carrier.basis
             future = shorten(code, lay.subset(range(cut, n))).carrier.basis
             assert observer._denoms[cut] == Subgroup.span(
                 lay.modulus, past + future, lay.total_dim)
+            lo = max(0, cut - L)
             if cut < n:
-                assert section.ending == dyn.ending_symbols(
-                    code, lay.interval(max(0, cut - L), cut), cut)
+                assert enc.input_groups[cut] == dyn.ending_symbols(
+                    code, lay.interval(lo, cut), cut)
+            window = word[lay.starts[lo]:lay.starts[cut]]
+            assert observer.observe(window, cut) == observer.observe_codeword(word, cut)
         # the sweep tables: |C_{:[m,n)}| and |C_{|[m,n)}| for every m <= n
         for m in range(n + 1):
             for nn in range(m, n + 1):

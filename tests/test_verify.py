@@ -82,8 +82,8 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, verify.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    ending, observer_init, encoder_init, state_at, skips, chains = (
-        dyn.ending_symbols, mc.StateObserver.__init__, mc.ObserverEncoder.__init__,
+    ending, observer_init, step_table, state_at, skips, chains = (
+        dyn.ending_symbols, mc.StateObserver.__init__, mc._step_table,
         dyn.state_at, dyn._chain_skips, dyn.output_chains)
     orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
                                       dyn._cut_heads, R.IncrementalHowell.insert)
@@ -139,11 +139,8 @@ def _planted_faults():
         self._denoms = [R.add(d, e) for d, e in zip(self._denoms,
                                                     self._denoms[1:] + self._denoms[-1:])]
 
-    def short_extension(self, code):  # Y([k-L, k]) from a window one time short
-        encoder_init(self, code)
-        self._zero_extension = [
-            ending(code, code.layout.interval(min(k, max(0, k - self.memory + 1)), k), k)
-            for k in range(code.layout.axis_len)]
+    def short_table(code, denom, lo, k):  # each step table's window one time short
+        return step_table(code, denom, min(lo + 1, k), k)
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N, table = code.layout.axis_len, orders(code)
@@ -192,7 +189,7 @@ def _planted_faults():
          "chain-granule-consistency"),
         (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
         (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
-        (mc.ObserverEncoder, "__init__", short_extension, "machine-roundtrip"),
+        (mc, "_step_table", short_table, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
 
