@@ -123,27 +123,26 @@ class InteriorReport:
     state: Invariants
     controller_memory: int | None
     observer_memory: int | None
-    controller_granules: tuple[Invariants, ...]   # level 0..levels at center
+    controller_granules: tuple[Invariants, ...]   # level 0..margin at center
     observer_granules: tuple[Invariants, ...]
     input_group_order: int                        # |F_k| at center
     output_group_order: int                       # |C_{|{k}}| at center
     syndrome_group: Invariants
-    first_quotients: tuple[Invariants, ...]
     last_quotients: tuple[Invariants, ...]
     dual_first_quotients: tuple[Invariants, ...]
     dual_last_quotients: tuple[Invariants, ...]
 
 
-def interior_report(code: GroupCode, margin: int, levels: int | None = None) -> InteriorReport:
+def interior_report(code: GroupCode, margin: int) -> InteriorReport:
+    """The report at the central time, with granules and chains at levels
+    0..margin; an axis of length at least 2 * margin + 2 holds them."""
     n = code.layout.axis_len
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     if n < 2 * margin + 2:
         raise ValueError("axis too short for the requested interior margin")
     center = n // 2
-    levels = margin if levels is None else levels
-    if not 0 <= levels <= n - 1 - center:
-        raise ValueError(f"granule levels 0..{levels} at time {center} "
-                         f"not inside axis of length {n}")
-    chains = dynamics.output_chains(code, center, levels)
+    chains = dynamics.output_chains(code, center, margin)
     return InteriorReport(
         state=dynamics.state_at(code, center).invariants,
         controller_memory=dynamics.controllability_index(code, margin),
@@ -153,7 +152,6 @@ def interior_report(code: GroupCode, margin: int, levels: int | None = None) -> 
         input_group_order=chains.first_output_group.order(),
         output_group_order=chains.dual_last[0].order(),
         syndrome_group=chains.syndrome_group,
-        first_quotients=chains.first_quotients,
         last_quotients=chains.last_quotients,
         dual_first_quotients=chains.dual_first_quotients,
         dual_last_quotients=chains.dual_last_quotients)

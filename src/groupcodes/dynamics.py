@@ -16,22 +16,25 @@ each nested family of subcodes or windows is one sweep of
 ``residues.IncrementalHowell`` inserts, cached per code, rather than one pass
 per member:
 
-* ``_trellis_sweep`` grows the trellis-oriented (minimal-span) rows of
-  C_{:[k,N)} for k = N-1 down to 0, with the times reversed.  It gives
-  ``span_profile`` and ``interval_orders``, |C_{:[k,n)}| for every k <= n.
+* ``span_profile`` grows the trellis-oriented (minimal-span) rows of
+  C_{:[k,N)} for k = N-1 down to 0, with the times reversed, keeping each
+  row's pivot column and pivot entry; ``interval_orders``, |C_{:[k,n)}| for
+  every k <= n, is a running product of M/pivot over their end times.
 * ``window_orders`` drops one block at a time from the code's own basis and
   inserts the rows that pivoted in it again, giving |C_{|[m,n)}| for every
-  m < n.
+  m <= n.
 * ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
   the Howell rows of every prefix subcode C_{:[0,k)}; stacked over the code's
-  basis rows from block k on, they are the kernel of the state map
-  (``cut_sum``).
+  basis rows from block k on, they are the kernel of the state map, held as
+  tails (``cut_rows``) or written out (``cut_sum``).
 
 Each interval test compares orders: a sum of two shortenings inside a third
 group is all of it exactly when the orders say so, because the two meet in a
 shortening too; for observability the interior term is the window's order
-|C_{|[m,n)}|.  So the tests, the index searches and the machines' memory read
-their orders off those tables and make no pass.  Phi, ordinary or end-around,
+|C_{|[m,n)}|.  Both tests take an empty interval [m, m), where each is the
+zero-memory test at cut m, so an index search has one test shape for every
+length.  The tests, the index searches and the machines' memory read their
+orders off those tables and make no pass.  Phi, ordinary or end-around,
 comes from two passes over the interval (``ending_symbols``), with no dual.
 F_k is read off the code's basis, and the four output chains off two passes,
 one per direction, each nesting all its levels, which one run of inserts per
@@ -61,12 +64,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
                     lift_restriction, pivot_rows, restriction, shorten)
-from .residues import Row, Subgroup, quotient_invariants
+from .residues import Pivoted, Row, Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout, TimeSubset
 
 
@@ -112,20 +116,30 @@ def _reversed_order(layout: SymbolLayout) -> tuple[list[int], list[int]]:
     return [c for t in reversed(layout.times()) for c in layout.block(t)], times
 
 
-def _trellis_sweep(code: GroupCode):
-    """Grow the trellis-oriented rows of C_{:[k,N)} for k = N-1 down to 0.
+@lru_cache(maxsize=1024)
+def span_profile(code: GroupCode) -> tuple[tuple[tuple[Pivoted, ...], ...], ...]:
+    """Trellis-oriented rows of the code, by start time and last time.
 
-    Yields each k with ``form`` holding the Howell form of C_{:[k,N)} in the
-    columns of ``_reversed_order``.  A word of C_{:[k,N)} vanishes before
-    time k, so one column order serves every k: step k inserts the code's
-    basis rows that pivot in block k, which together with C_{:[k+1,N)} span
-    C_{:[k,N)}.  Each row pivots at its last time, and by the Howell property
-    the rows that end by time b span C_{:[k,b]}.
+    ``span_profile(code)[k][b]`` holds the rows that vanish before time k and
+    end at time b (empty for b < k), each as (pivot column, pivot entry,
+    full-length int tuple); the pivot is the row's first nonzero entry in
+    block b.  The rows of start k that end by time b span exactly the
+    interval subcode C_{:[k,b]}.
+
+    One sweep of inserts for k = N-1 down to 0, in the columns of
+    ``_reversed_order``: a word of C_{:[k,N)} vanishes before time k, so one
+    column order serves every k, and step k inserts the code's basis rows
+    that pivot in block k, which together with C_{:[k+1,N)} span C_{:[k,N)}.
+    Each row pivots at its last time, and by the Howell property the rows
+    that end by time b span C_{:[k,b]}.  A row is written out only when its
+    tail changed since the last step.
     """
     layout, carrier = code.layout, code.carrier
-    n, starts = layout.total_dim, layout.starts
-    perm, _ = _reversed_order(layout)
+    N, n, starts = layout.axis_len, layout.total_dim, layout.starts
+    perm, time_at = _reversed_order(layout)
     form = residues.IncrementalHowell(layout.modulus, n)
+    written: dict[int, tuple] = {}  # position -> (tail, the row written out)
+    profile: list = [()] * N
     i = len(carrier.basis)
     for k in reversed(layout.times()):
         cols = perm[:n - starts[k]]
@@ -133,30 +147,12 @@ def _trellis_sweep(code: GroupCode):
             i -= 1
             row = carrier.basis[i]
             form.insert([row[c] for c in cols])
-        yield k, form
-
-
-@lru_cache(maxsize=1024)
-def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
-    """Trellis-oriented rows of the code, by start time and last time.
-
-    ``span_profile(code)[k][b]`` holds the rows, as full-length int tuples,
-    that vanish before time k and end at time b (empty for b < k): the
-    Howell rows of C_{:[k,N)} at step k of ``_trellis_sweep``.  The rows of
-    start k that end by time b span exactly the interval subcode C_{:[k,b]}.
-    """
-    layout = code.layout
-    N, n = layout.axis_len, layout.total_dim
-    perm, time_at = _reversed_order(layout)
-    written: dict[int, tuple] = {}  # position -> (tail, its full-length row)
-    profile: list = [()] * N
-    for k, form in _trellis_sweep(code):
         rows = form.rows()
         fresh = [(p, d, tail) for p, d, tail in rows
                  if p not in written or written[p][0] is not tail]
-        for (p, _, tail), (_, _, full) in zip(fresh, residues.written_out(fresh, n, perm)):
-            written[p] = (tail, full)
-        by_end: list[list[Row]] = [[] for _ in range(N)]
+        for (p, _, tail), out in zip(fresh, residues.written_out(fresh, n, perm)):
+            written[p] = (tail, out)
+        by_end: list[list[Pivoted]] = [[] for _ in range(N)]
         for p, _, _ in rows:
             by_end[time_at[p]].append(written[p][1])
         profile[k] = tuple(map(tuple, by_end))
@@ -165,20 +161,21 @@ def span_profile(code: GroupCode) -> tuple[tuple[tuple[Row, ...], ...], ...]:
 
 @lru_cache(maxsize=1024)
 def interval_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
-    """``interval_orders(code)[k][n]`` is |C_{:[k,n)}| for 0 <= k <= n <= N
-    (1 for n <= k): the product of M/pivot over the rows of step k of
-    ``_trellis_sweep`` that end before time n."""
-    N = code.layout.axis_len
-    _, time_at = _reversed_order(code.layout)
+    """``interval_orders(code)[k][n]`` is |C_{:[k,n)}| for 0 <= k, n <= N
+    (1 for n <= k): the product of M/pivot over the ``span_profile`` rows of
+    start k that end before time n."""
+    M, N = code.layout.modulus, code.layout.axis_len
     table = [(1,) * (N + 1)] * (N + 1)
-    for k, form in _trellis_sweep(code):
-        table[k] = _orders_before(form, time_at, N, k)
+    for k, by_end in enumerate(span_profile(code)):
+        at_time = [prod(M // d for _, d, _ in ending) for ending in by_end[k:]]
+        table[k] = (1,) * k + tuple(accumulate(at_time, mul, initial=1))
     return tuple(table)
 
 
 @lru_cache(maxsize=1024)
 def window_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
-    """``window_orders(code)[m][n]`` is |C_{|[m,n)}| for m < n <= N.
+    """``window_orders(code)[m][n]`` is |C_{|[m,n)}| for 0 <= m, n <= N (1 for
+    n <= m, the empty window).
 
     One forward sweep: the Howell form of C_{|[m,N)} (held on the full
     coordinates, zero before block m) is that of C_{|[m-1,N)} with its rows
@@ -189,26 +186,19 @@ def window_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
     that pivot before block n.
     """
     layout = code.layout
-    N, starts = layout.axis_len, layout.starts
+    M, N, starts = layout.modulus, layout.axis_len, layout.starts
     time_of = [t for t in layout.times() for _ in layout.block(t)]
-    form = residues.IncrementalHowell(layout.modulus, layout.total_dim, code.carrier.tails)
+    form = residues.IncrementalHowell(M, layout.total_dim, code.carrier.tails)
     table = []
     for m in range(N):
         for c, tail in form.drop(starts[m]):
             form.insert(tail[starts[m] - c:], starts[m])
-        table.append(_orders_before(form, time_of, N, m))
+        at_time = [1] * N
+        for c, d in form.pivots():
+            at_time[time_of[c]] *= M // d
+        table.append((1,) * m + tuple(accumulate(at_time[m:], mul, initial=1)))
+    table.append((1,) * (N + 1))
     return tuple(table)
-
-
-def _orders_before(form: residues.IncrementalHowell, time_of: list[int], N: int,
-                   lo: int) -> tuple[int, ...]:
-    """Entry n, for n = 0..N: the product of M/pivot over the rows of ``form``
-    whose pivot column is at a time (``time_of``) before n; every row's is at
-    ``lo`` or later."""
-    at_time = [1] * N
-    for c, d in form.pivots():
-        at_time[time_of[c]] *= form.modulus // d
-    return (1,) * lo + tuple(accumulate(at_time[lo:], mul, initial=1))
 
 
 @lru_cache(maxsize=1024)
@@ -222,21 +212,29 @@ def _cut_heads(code: GroupCode) -> tuple[tuple[tuple[int, int, Row], ...], ...]:
     layout = code.layout
     form = residues.IncrementalHowell(layout.modulus, layout.total_dim)
     heads = [()]
-    for rows in span_profile(code)[0]:
-        for row in rows:
+    for ending in span_profile(code)[0]:
+        for _, _, row in ending:
             form.insert(row)
         heads.append(tuple(form.rows()))
     return tuple(heads)
 
 
+def cut_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
+    """The Howell rows of C_{:[0,k)} + C_{:[k,N)}, (pivot column, pivot entry,
+    tail) per row, top row first: the summands have disjoint supports and
+    the future rows are the tail of the code's Howell basis, so the rows of
+    ``_cut_heads`` at cut k, stacked over those, are the sum's Howell form."""
+    N = code.layout.axis_len
+    if not 0 <= k <= N:
+        raise ValueError(f"cut {k} outside 0..{N}")
+    s = code.layout.starts[k]
+    return [*_cut_heads(code)[k], *(t for t in code.carrier.tails if t[0] >= s)]
+
+
 def cut_sum(code: GroupCode, k: int) -> Subgroup:
-    """C_{:[0,k)} + C_{:[k,N)}: the summands have disjoint supports and the
-    future rows are the tail of the code's Howell basis, so the rows of
-    ``_cut_heads`` at cut k, stacked over them, are the sum's Howell form."""
-    carrier, n, s = code.carrier, code.layout.total_dim, code.layout.starts[k]
-    head = residues.written_out(_cut_heads(code)[k], n)
-    return Subgroup(carrier.modulus, n, head + [(c, d, row) for (c, d), row in
-                                                zip(carrier.pivots, carrier.basis) if c >= s])
+    """C_{:[0,k)} + C_{:[k,N)}, the rows of ``cut_rows`` written out."""
+    n = code.layout.total_dim
+    return Subgroup(code.layout.modulus, n, residues.written_out(cut_rows(code, k), n))
 
 
 @lru_cache(maxsize=4096)
@@ -250,7 +248,7 @@ def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
     layout = code.layout
     profile = span_profile(code)
     rows = list(dict.fromkeys(row for k, by_end in enumerate(profile)
-                              for ending in by_end[k:k + level + 1] for row in ending))
+                              for ending in by_end[k:k + level + 1] for _, _, row in ending))
     return GroupCode(layout, Subgroup.span(layout.modulus, rows, layout.total_dim))
 
 
@@ -317,6 +315,8 @@ def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
     One ``pivot_rows`` pass over the times of S with h last: by the Howell
     property the rows that pivot at h span exactly those words.
     """
+    if h not in times:
+        raise ValueError(f"time {h} is not in the subset {sorted(times)}")
     block, rest = code.layout.block(h), sorted(times - {h})
     rows = [(col - block.start, d, row[block.start:block.stop]) for i, col, d, row in
             pivot_rows(code.layout, code.carrier.basis, rest + [h]) if i == len(rest)]
@@ -346,26 +346,20 @@ def _check_interval(code: GroupCode, k: int, level: int) -> None:
 # interval controllability / observability
 
 
-def _shortened_sum(code: GroupCode, m: int, n: int) -> bool:
-    """C == C_{:[0,n)} + C_{:[m,N)}, by orders.
-
-    The sum lies in C, and the two summands meet in C_{:[m,n)}, so the sum is
-    all of C exactly when |C| * |C_{:[m,n)}| == |C_{:[0,n)}| * |C_{:[m,N)}|.
-    All three orders come from ``interval_orders``.
-    """
-    orders = interval_orders(code)
-    return (code.order() * orders[m][n]
-            == orders[0][n] * orders[m][code.layout.axis_len])
-
-
 def controllable_on(code: GroupCode, m: int, n: int) -> bool:
-    """[m, n)-controllability: any past before m links to any future from n.
+    """[m, n)-controllability: any past before m links to any future from n;
+    for m = n, the zero-memory test at the cut m.
 
-    The code is generated by its before-n and after-m subcodes.
+    The code is generated by its before-n and after-m subcodes.  The sum lies
+    in C, and the two summands meet in C_{:[m,n)}, so the sum is all of C
+    exactly when |C| * |C_{:[m,n)}| == |C_{:[0,n)}| * |C_{:[m,N)}|.  All three
+    orders come from ``interval_orders``.
     """
-    if not 0 <= m < n <= code.layout.axis_len:
-        raise ValueError("need 0 <= m < n <= N")
-    return _shortened_sum(code, m, n)
+    N = code.layout.axis_len
+    if not 0 <= m <= n <= N:
+        raise ValueError("need 0 <= m <= n <= N")
+    orders = interval_orders(code)
+    return code.order() * orders[m][n] == orders[0][n] * orders[m][N]
 
 
 def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
@@ -386,14 +380,15 @@ def controllability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
 
 
 def observable_on(code: GroupCode, m: int, n: int) -> bool:
-    """[m, n)-observability: a length-(n-m) window pins the state down.
+    """[m, n)-observability: a length-(n-m) window pins the state down; for
+    m = n it is the same test as ``controllable_on``'s, the zero-memory cut.
 
     The off-window subcode splits as past x future: the two lie in it and
     meet trivially, so it is their sum exactly when its order is the product
     of theirs.
     """
-    if not 0 <= m < n <= code.layout.axis_len:
-        raise ValueError("need 0 <= m < n <= N")
+    if not 0 <= m <= n <= code.layout.axis_len:
+        raise ValueError("need 0 <= m <= n <= N")
     # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
     # |C| / |C_{|[m,n)}|
     orders = interval_orders(code)
@@ -414,15 +409,9 @@ def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
     return {"window_lift": window_lift, "shortened_product": shortened_product}
 
 
-def memoryless_at(code: GroupCode, m: int) -> bool:
-    """Zero-memory cut test at m: C == C_{:m-} + C_{:m+}."""
-    if not 0 <= m <= code.layout.axis_len:
-        raise ValueError("cut out of range")
-    return _shortened_sum(code, m, m)
-
-
 def _index_search(code: GroupCode, interior_margin: int, interval_test) -> int | None:
-    """Least L whose every interior length-L interval passes, or None.
+    """Least L whose every interior length-L interval [m, m+L) passes, or
+    None; for L = 0 these are the interior cuts.
 
     The degenerate whole-axis interval is excluded: on a finite axis every
     code passes it vacuously, so it never certifies strength.
@@ -434,16 +423,9 @@ def _index_search(code: GroupCode, interior_margin: int, interval_test) -> int |
     if cap < 0:
         return None
     for L in range(0, cap + 1):
-        if L == 0:
-            ok = all(memoryless_at(code, m)
-                     for m in range(interior_margin, N - interior_margin + 1))
-        else:
-            starts = [m for m in range(interior_margin, N - interior_margin - L + 1)
-                      if not (m == 0 and L == N)]
-            if not starts:
-                continue
-            ok = all(interval_test(code, m, m + L) for m in starts)
-        if ok:
+        starts = [m for m in range(interior_margin, N - interior_margin - L + 1)
+                  if not (m == 0 and L == N)]
+        if starts and all(interval_test(code, m, m + L) for m in starts):
             return L
     return None
 
@@ -567,6 +549,8 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     N = code.layout.axis_len
     if not 0 <= k < N:
         raise ValueError("time out of range")
+    if max_level is not None and max_level < 0:
+        raise ValueError("max_level must be >= 0")
     cap = N - 1 if max_level is None else min(max_level, N - 1)
     skips = [_chain_skips(k, N - 1 - k, j) for j in range(cap + 1)]
     a = _chain_pass(code, k, [*reversed(range(k)), *reversed(range(k + 1, N))],

@@ -20,38 +20,42 @@ that are not strongly observable simply get L close to the axis length.
 State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
 
-Everything a step needs is built with the machine.  At each cut k the
-observer keeps its label reducer D_k = ``dynamics.cut_sum(code, k)``, read
-off one sweep of inserts for the whole code, and one step table: a
-``residues.IncrementalHowell`` started from D_k, into which each basis row of
+Everything a step needs is built with the machine, and the observer keeps
+only its step tables.  The table at cut k is a ``residues.IncrementalHowell``
+form started from the Howell rows of the label reducer
+D_k = C_{:[0,k)} + C_{:[k,N)}, taken as tails (``dynamics.cut_rows``, read
+off one sweep of inserts for the whole code), into which each basis row of
 the code that touches the window W = [k-L, k) is inserted as its W part
 followed by the whole row.  The form's rows that pivot in W lift a window to
-a codeword already reduced by D_k, which the table negates.  An observer or encoder step is then
-one ``residues.reduce_ints`` call on the window followed by zeros, and what
-is left past W is the canonical label on the columns that are not unit
-pivots of D_k.  Two identities make that one call enough.  By
-L-observability every codeword that vanishes on W lies in D_k, so the label
-does not depend on the lift.  The symbols that can follow the window are
-c_k + Y([k-L, k]) for any codeword c through it, and Y([k-L, k]) = F_k, so
-the encoder's base symbol is the label's own block k.  The memory L is read
-off ``dynamics``' cached order tables, with no Howell pass.  The syndrome
-former keeps each check of the dual's span profile that grows the Howell
-form of the checks kept so far, one ``residues.IncrementalHowell`` insert per
-candidate, and sorts its checks by the times they cover; a syndrome step
-adds each covering check's dot product with the new symbol to a running sum.
+a codeword already reduced by D_k, which the table negates.  An observer or
+encoder step is then one ``residues.reduce_ints`` call on the window
+followed by zeros, and what is left past W is the canonical label on the
+columns that are not unit pivots of D_k.  Two identities make that one call
+enough.  By L-observability every codeword that vanishes on W lies in D_k,
+so the label does not depend on the lift.  The symbols that can follow the
+window are c_k + Y([k-L, k]) for any codeword c through it, and
+Y([k-L, k]) = F_k, so the encoder's base symbol is the label's own block k.
+The full-word reference ``StateObserver.observe_codeword`` reduces a whole
+codeword by D_k's rows, read when it is called.  The memory L
+is read off ``dynamics``' cached order tables, with no Howell pass.  The
+syndrome former keeps each check of the dual's span profile that grows the
+Howell form of the checks kept so far, one ``residues.IncrementalHowell``
+insert per candidate, and sorts its checks by the times they cover; a
+syndrome step adds each covering check's dot product with the new symbol to
+a running sum.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import prod
 from operator import mul
 from random import Random
 from typing import NamedTuple, Sequence
 
 from . import dynamics, residues
 from .codes import GroupCode, dual
-from .residues import Subgroup
 
 
 class WindowNotInRestriction(Exception):
@@ -99,9 +103,10 @@ class _StepTable(NamedTuple):
     """The observer's step at cut k: one ``residues.reduce_ints`` call on the
     window W = [lo, k) followed by zeros.
 
-    Let D_k = ``dynamics.cut_sum(code, k)``.  A canonical representative
-    modulo D_k is zero on the unit pivot columns of D_k, and so is every
-    other row of D_k's Howell basis; the remaining columns are the label's.
+    Let D_k = C_{:[0,k)} + C_{:[k,N)} (``dynamics.cut_rows``).  A canonical
+    representative modulo D_k is zero on the unit pivot columns of D_k, and
+    so is every other row of D_k's Howell basis; the remaining columns are
+    the label's.
     ``rows`` first holds the lift rows: their W parts, from the pivot on,
     are the Howell basis of C_{|W}, and each is followed by the negation of
     its lift codeword reduced by D_k, on the label's columns.  Then come
@@ -120,12 +125,13 @@ class _StepTable(NamedTuple):
                                 # reduced list, or -1 (a unit pivot column of D_k)
 
 
-def _step_table(code: GroupCode, denom: Subgroup, lo: int, k: int) -> _StepTable:
-    """The step table at cut k, D_k = ``denom``, for the window [lo, k).
+def _step_table(code: GroupCode, lo: int, k: int) -> _StepTable:
+    """The step table at cut k for the window [lo, k).
 
-    One Howell form of rows [x_{|W} | x], started from D_k's rows as
-    [0 | D_k], into which each basis row x of the code that touches W is
-    inserted.  The others vanish on W, so they lie in D_k and add nothing.
+    One Howell form of rows [x_{|W} | x], started from D_k's rows
+    (``dynamics.cut_rows``) as [0 | D_k], into which each basis row x of the
+    code that touches W is inserted.  The others vanish on W, so they lie in
+    D_k and add nothing.
     The form's rows that pivot in W are the lift rows, reduced by D_k, and
     the table negates their second parts.  Every element of the span that
     vanishes on W is in [0 | D_k], so no other row is added.
@@ -134,11 +140,12 @@ def _step_table(code: GroupCode, denom: Subgroup, lo: int, k: int) -> _StepTable
     M, n, starts = layout.modulus, layout.total_dim, layout.starts
     a, b = starts[lo], starts[k]  # W is [a, b)
     w = b - a
-    form = residues.IncrementalHowell(M, w + n, [(w + c, d, t) for c, d, t in denom.tails])
+    denom = dynamics.cut_rows(code, k)
+    form = residues.IncrementalHowell(M, w + n, [(w + c, d, t) for c, d, t in denom])
     for row in code.carrier.basis:
         if any(row[a:b]):
             form.insert(row[a:b] + row)
-    unit = {c for c, d in denom.pivots if d == 1}
+    unit = {c for c, d, _ in denom if d == 1}
     cols = [c for c in range(n) if c not in unit]  # the label's columns
     place = [-1] * n  # where a step leaves each coordinate of the label
     for j, c in enumerate(cols, w):
@@ -180,24 +187,27 @@ class StateObserver:
     def __init__(self, code: GroupCode):
         self.code = code
         self.memory = machine_memory(code)
-        N = code.layout.axis_len
-        # label reducers C_{:[0,k)} + C_{:[k,N)} and step tables, at each cut k
-        self._denoms = [dynamics.cut_sum(code, k) for k in range(N + 1)]
-        self._tables = [_step_table(code, d, max(0, k - self.memory), k)
-                        for k, d in enumerate(self._denoms)]
+        self._tables = [_step_table(code, max(0, k - self.memory), k)
+                        for k in range(code.layout.axis_len + 1)]
 
     def window_times(self, k: int) -> list[int]:
         return list(range(max(0, _check_cut(self.code, k) - self.memory), k))
 
     def state_count(self, k: int) -> int:
-        return self.code.order() // self._denoms[_check_cut(self.code, k)].order()
+        """|C| / |D_k|, the order of the state space at cut k."""
+        M = self.code.layout.modulus
+        return self.code.order() // prod(
+            M // d for _, d, _ in dynamics.cut_rows(self.code, _check_cut(self.code, k)))
 
     def observe_codeword(self, word: Sequence[int], k: int) -> Vec:
-        """Label of the state of a full codeword at cut k."""
-        denom = self._denoms[_check_cut(self.code, k)]
+        """Label of the state of a full codeword at cut k: the word reduced
+        by D_k's rows (``dynamics.cut_rows``), read when called.  It is the
+        full-word reference that the window steps must match."""
+        denom = dynamics.cut_rows(self.code, _check_cut(self.code, k))
         if not self.code.contains(word):
             raise WindowNotInRestriction("word is not a codeword")
-        return tuple(denom.reduce(word))
+        M, n = self.code.layout.modulus, self.code.layout.total_dim
+        return tuple(residues.reduce_ints(M, denom, residues.as_residue_vector(M, word, n)))
 
     def observe(self, window: Sequence[int], k: int) -> Vec:
         """Label computed from the last ``memory`` symbols before cut k."""
@@ -292,7 +302,7 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]
     checks: list[tuple[int, int, dynamics.Row]] = []
     for j in range(layout.axis_len):
         for k in range(layout.axis_len - j):
-            for row in profile[k][k + j]:
+            for _, _, row in profile[k][k + j]:
                 if kept.insert(row):
                     checks.append((k, k + j, row))
                     if kept.order == target:

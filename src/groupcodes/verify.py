@@ -257,14 +257,12 @@ def interval_test_equivalence(code: GroupCode, m: int, n: int) -> dict | None:
 
 def l_finite_l_controllable(code: GroupCode, level: int) -> dict | None:
     """L-finite (generated by its length-(L+1) interval words) exactly when
-    L-controllable (every length-L interval, or every cut for L = 0)."""
+    L-controllable (every length-L interval [m, m+L) passes; for L = 0, every
+    cut)."""
     n = code.layout.axis_len
     finite = code_equal(dynamics.controllable_subcode(code, level), code)
-    if level == 0:
-        controllable = all(dynamics.memoryless_at(code, m) for m in range(0, n + 1))
-    else:
-        controllable = all(dynamics.controllable_on(code, m, m + level)
-                           for m in range(0, n - level + 1))
+    controllable = all(dynamics.controllable_on(code, m, m + level)
+                       for m in range(0, n - level + 1))
     if finite != controllable:
         return {"L": level, "finite": finite, "controllable": controllable}
     return None

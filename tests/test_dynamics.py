@@ -7,8 +7,8 @@ import random
 import pytest
 
 from groupcodes import dynamics as dyn
-from groupcodes import oracle, verify
-from groupcodes.codes import GroupCode, code_equal, dual, restriction
+from groupcodes import catalog, oracle, residues, verify
+from groupcodes.codes import GroupCode, code_equal, dual, restriction, shorten
 from groupcodes.spaces import Interval, SymbolLayout
 
 
@@ -54,6 +54,9 @@ def test_state_space_rejects_degenerate_cuts(rep6):
         verify.state_space(rep6, rep6.layout.full_subset())
     with pytest.raises(ValueError):
         dyn.state_at(rep6, 0)
+    for k in (-1, 7):  # the cut rows exist at cuts 0..N only
+        with pytest.raises(ValueError, match=f"cut {k}"):
+            dyn.cut_rows(rep6, k)
 
 
 def test_state_space_arbitrary_subset_cut(rep6):
@@ -267,6 +270,22 @@ def test_controllability_transfers_to_dual_observability():
         assert dyn.controllable_on(c, m, nn) == dyn.observable_on(dual(c), m, nn)
 
 
+def test_empty_interval_is_the_zero_memory_cut():
+    # at m = n both interval tests are the cut test C == C_{:[0,m)} + C_{:[m,N)},
+    # taken here through shorten, at every cut 0..N of random codes and duals
+    rng = random.Random(53)
+    for _ in range(12):
+        c = random_code(rng, rng.choice([2, 3, 4, 6]), rng.randint(2, 5), rng.randint(1, 2))
+        for code in (c, dual(c)):
+            lay, N = code.layout, code.layout.axis_len
+            for m in range(N + 1):
+                cut = residues.add(shorten(code, lay.subset(range(0, m))).carrier,
+                                   shorten(code, lay.subset(range(m, N))).carrier)
+                memoryless = cut == code.carrier
+                assert dyn.controllable_on(code, m, m) == memoryless
+                assert dyn.observable_on(code, m, m) == memoryless
+
+
 def test_l_finite_examples(rate13):
     c = rate13.code
     assert code_equal(dyn.controllable_subcode(c, 2), c)
@@ -290,6 +309,17 @@ def test_output_chains_pairs(pairs):
     report = dyn.output_chains(pairs, 4, 2)
     assert report.first_output_group.is_trivial()
     assert report.syndrome_group == (4,)
+
+
+def test_output_chains_rejects_negative_levels(rep6):
+    with pytest.raises(ValueError, match="max_level must be >= 0"):
+        dyn.output_chains(rep6, 3, -1)
+
+
+def test_ending_symbols_needs_h_in_the_subset():
+    code = catalog.rate_one_third_window(8).code
+    with pytest.raises(ValueError, match="time 5"):
+        dyn.ending_symbols(code, frozenset({1, 2}), 5)
 
 
 def test_output_chains_rate13(rate13):

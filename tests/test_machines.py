@@ -90,7 +90,8 @@ def test_observer_labels_past_non_unit_pivots():
             code = verify.random_code(rng, (M,), 6, 2)
             enc = mc.ObserverEncoder(code)
             obs, lay = enc.observer, code.layout
-            non_unit += any(d != 1 for denom in obs._denoms for _, d in denom.pivots)
+            non_unit += any(d != 1 for k in range(lay.axis_len + 1)
+                            for _, d, _ in dyn.cut_rows(code, k))
             for _ in range(3):
                 word, trace = enc.encode(enc.random_inputs(rng))
                 for k in range(lay.axis_len + 1):

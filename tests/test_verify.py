@@ -82,8 +82,8 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, verify.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    ending, observer_init, step_table, state_at, skips, chains = (
-        dyn.ending_symbols, mc.StateObserver.__init__, mc._step_table,
+    ending, cut_rows, step_table, state_at, skips, chains = (
+        dyn.ending_symbols, dyn.cut_rows, mc._step_table,
         dyn.state_at, dyn._chain_skips, dyn.output_chains)
     orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
                                       dyn._cut_heads, R.IncrementalHowell.insert)
@@ -134,13 +134,14 @@ def _planted_faults():
             return ending(code, times, h)
         return ending(code, times - {min(times - {h})}, h)
 
-    def long_reducers(self, code):  # each label reducer's past one time long
-        observer_init(self, code)
-        self._denoms = [R.add(d, e) for d, e in zip(self._denoms,
-                                                    self._denoms[1:] + self._denoms[-1:])]
+    def long_reducers(code, k):  # each label reducer's past one time long
+        lay = code.layout
+        rows = [row for j in (k, min(k + 1, lay.axis_len))
+                for _, _, row in R.written_out(cut_rows(code, j), lay.total_dim)]
+        return list(Subgroup.span(lay.modulus, rows, lay.total_dim).tails)
 
-    def short_table(code, denom, lo, k):  # each step table's window one time short
-        return step_table(code, denom, min(lo + 1, k), k)
+    def short_table(code, lo, k):  # each step table's window one time short
+        return step_table(code, min(lo + 1, k), k)
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N, table = code.layout.axis_len, orders(code)
@@ -175,7 +176,7 @@ def _planted_faults():
         (verify, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
         (dyn, "span_profile", late_profile, "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "granule-factorization"),
-        (dyn, "_shortened_sum", long_overlap, "interval-test-equivalence"),
+        (dyn, "controllable_on", long_overlap, "interval-test-equivalence"),
         (dyn, "_cut_heads", short_past, "state-size-factorization"),
         (dyn, "interval_orders", long_intervals, "interval-test-equivalence"),
         (dyn, "window_orders", short_windows, "interval-test-equivalence"),
@@ -188,7 +189,7 @@ def _planted_faults():
          lambda before, after, j: skips(before, after, j)[:3] + (min(max(j - 1, 0), after),),
          "chain-granule-consistency"),
         (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
-        (mc.StateObserver, "__init__", long_reducers, "machine-roundtrip"),
+        (dyn, "cut_rows", long_reducers, "machine-roundtrip"),
         (mc, "_step_table", short_table, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
