@@ -237,13 +237,17 @@ def cmd_oracle(args) -> int:
     elif q in ("controller-granule", "observer-granule"):
         if args.at is None or args.level is None:
             raise specfile.SpecFileError(f"{q} needs --at and --level")
+        last = args.at + args.level
+        if last > code.layout.axis_len - 1:
+            raise specfile.SpecFileError(
+                f"--at + --level must be <= {code.layout.axis_len - 1}, got {last}")
         elems = oracle.code_elements(code, args.cap)
-        times = list(range(args.at, args.at + args.level + 1))
-        if times[-1] > code.layout.axis_len - 1:
-            raise specfile.SpecFileError("interval outside the axis")
-        fn = (oracle.controller_granule if q == "controller-granule"
-              else oracle.observer_granule)
-        value = list(fn(code, elems, times, times[0], times[-1]))
+        times = list(range(args.at, last + 1))
+        if q == "controller-granule":
+            value = list(oracle.controller_granule(code, elems, times, args.at, last))
+        else:
+            value = list(oracle.observer_granule(code, elems, times, args.at, last,
+                                                 args.cap))
     else:  # pragma: no cover - argparse restricts choices
         raise specfile.SpecFileError(f"unknown quantity {q}")
     print(json.dumps({"quantity": q, "value": value}))

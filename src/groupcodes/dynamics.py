@@ -89,7 +89,6 @@ Invariants = tuple[int, ...]
 class StateSpaceReport:
     """The minimal state space at one cut, as invariant factors."""
 
-    cut_times: TimeSubset
     invariants: Invariants
 
     @property
@@ -101,8 +100,7 @@ def state_at(code: GroupCode, k: int) -> StateSpaceReport:
     """State space at the cut before time k: C / ``cut_sum(code, k)``."""
     if not 1 <= k <= code.layout.axis_len - 1:
         raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1")
-    return StateSpaceReport(code.layout.subset(range(0, k)),
-                            quotient_invariants(code.carrier, cut_sum(code, k)))
+    return StateSpaceReport(quotient_invariants(code.carrier, cut_sum(code, k)))
 
 
 # ---------------------------------------------------------------------------

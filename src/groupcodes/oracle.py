@@ -1,15 +1,18 @@
 """Brute-force ground truth by exhaustive enumeration.
 
 Every quantity the fast path computes through Howell/Smith algebra is
-recomputed here definitionally, on explicit element sets: duals by testing
-all pairings, quotients by counting cosets, invariant factors from element
-orders.  Deliberately naive; the only guardrails are explicit caps, and
-exceeding a cap is an error, never silent truncation.
+recomputed here definitionally, on explicit sets of int tuples: duals by
+testing every ambient word against the generators, quotients by counting
+cosets, invariant factors from element orders.  Deliberately naive; the only
+guardrails are explicit caps, and exceeding a cap is an error, never silent
+truncation.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from .codes import GroupCode
@@ -52,30 +55,25 @@ def code_elements(c: GroupCode, cap: int = DEFAULT_ELEMENT_CAP) -> set[Vec]:
 
 
 def dual_elements(c: GroupCode, cap: int = DEFAULT_AMBIENT_CAP) -> set[Vec]:
-    """All ambient words orthogonal to every basis row, by scanning the space
-    in bounded ``int64`` chunks; numpy is imported for this scan alone."""
-    import numpy as np
-
+    """All ambient words orthogonal to every basis row, met in the middle:
+    right-half words are bucketed by their syndromes against the rows, and
+    each left-half word joins the bucket of its negated syndrome.  The rows
+    serve only as generators; nothing is eliminated."""
     M = c.layout.modulus
     n = c.layout.total_dim
     total = M ** n
     if total > cap:
         raise CapExceeded(f"ambient order {total} exceeds cap {cap}")
-    basis = np.asarray(c.carrier.basis, dtype=np.int64)
+    h = n // 2
+    basis = c.carrier.basis
+    right: dict[Vec, list[Vec]] = {}
+    for w in _all_words(M, n - h):
+        key = tuple(sum(map(mul, w, b[h:])) % M for b in basis)
+        right.setdefault(key, []).append(w)
     out: set[Vec] = set()
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        words = np.empty((len(idx), n), dtype=np.int64)
-        rest = idx.copy()
-        for j in range(n - 1, -1, -1):
-            words[:, j] = rest % M
-            rest //= M
-        if basis.shape[0]:
-            ok = np.all((words @ basis.T) % M == 0, axis=1)
-        else:
-            ok = np.ones(len(idx), dtype=bool)
-        out.update(tuple(int(x) for x in w) for w in words[ok])
+    for w in _all_words(M, h):
+        key = tuple(-sum(map(mul, w, b[:h])) % M for b in basis)
+        out.update(w + v for v in right.get(key, ()))
     return out
 
 
@@ -183,55 +181,31 @@ def controller_granule(c: GroupCode, elems: set[Vec],
     M = c.layout.modulus
     ts = frozenset(times)
     num = supported_inside(elems, c.layout, ts)
-    if len(times) == 1:
-        den: set[Vec] = {tuple([0] * c.layout.total_dim)}
-    else:
-        den = sum_sets(
-            supported_inside(elems, c.layout, ts - {last}),
-            supported_inside(elems, c.layout, ts - {first}), M)
+    den = sum_sets(supported_inside(elems, c.layout, ts - {last}),
+                   supported_inside(elems, c.layout, ts - {first}), M)
     return quotient_invariants_by_orders(num, den, M)
 
 
-def observer_granule(c: GroupCode, elems: set[Vec],
-                     times: list[int], first: int, last: int) -> tuple[int, ...]:
+def observer_granule(c: GroupCode, elems: set[Vec], times: list[int], first: int,
+                     last: int, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
     """Phi over the interval: window words passing both one-short checks, mod
     window words extending to full codewords."""
     M = c.layout.modulus
-    layout = c.layout
-    ts = sorted(times)
-    idx = layout.coords(ts)
-    # positions of each time's block inside the restricted word
-    offs = {}
-    off = 0
-    for t in ts:
-        offs[t] = (off, off + layout.widths[t])
-        off += layout.widths[t]
+    idx = c.layout.coords(sorted(times))
     restricted = {tuple(e[i] for i in idx) for e in elems}
-    if len(ts) == 1:
-        num = {tuple(w) for w in _all_words(M, len(idx))}
-        return quotient_invariants_by_orders(num, restricted, M)
-
-    def drop(word: Vec, t: int) -> Vec:
-        a, b = offs[t]
-        return word[:a] + word[b:]
-
-    short_first = {tuple(e[i] for i in layout.coords([t for t in ts if t != first]))
-                   for e in elems}
-    short_last = {tuple(e[i] for i in layout.coords([t for t in ts if t != last]))
-                  for e in elems}
-    num = {w for w in _all_words(M, len(idx))
-           if drop(w, last) in short_last and drop(w, first) in short_first}
+    checks = []
+    for t in (first, last):
+        # the window positions off time t, and the codewords' words there
+        pos = [p for p, i in enumerate(idx) if i not in c.layout.block(t)]
+        checks.append((pos, {tuple(e[idx[p]] for p in pos) for e in elems}))
+    num = {w for w in _all_words(M, len(idx), cap)
+           if all(tuple(w[p] for p in pos) in seen for pos, seen in checks)}
     return quotient_invariants_by_orders(num, restricted, M)
 
 
-def _all_words(M: int, n: int):
+def _all_words(M: int, n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Iterable[Vec]:
+    """Every word of Z_M^n, in lexicographic order."""
     total = M ** n
-    if total > DEFAULT_ELEMENT_CAP:
-        raise CapExceeded("window enumeration too large")
-    for idx in range(total):
-        w = []
-        rest = idx
-        for _ in range(n):
-            w.append(rest % M)
-            rest //= M
-        yield tuple(reversed(w))
+    if total > cap:
+        raise CapExceeded(f"enumeration of {total} words exceeds cap {cap}")
+    return product(range(M), repeat=n)

@@ -304,7 +304,8 @@ def howell_form(modulus: int, rows):
     An array-in, array-out adapter over ``howell_pass``, which the package
     calls directly; it is kept for array callers (the benchmark's tracer
     looks this name up, and the numpy reference test calls it), and imports
-    numpy when called.
+    numpy when called; numpy is no dependency of the package, since a caller
+    with arrays has it already.
     """
     import numpy as np
 

@@ -15,6 +15,7 @@ producing a wrong code.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _size(x, field: str) -> int:
+    """A size field: an int >= 1 that fits a list index, checked before
+    anything of that size is built."""
+    _require(_is_int(x) and 1 <= x <= sys.maxsize,
+             f"{field} must be an int from 1 to {sys.maxsize}")
+    return x
+
+
 def _int_list(x, msg: str) -> list[int]:
     _require(isinstance(x, list) and all(_is_int(v) for v in x), msg)
     return list(x)
@@ -79,11 +88,11 @@ def loads(text: str) -> LoadedCode:
     _require(margin is None or _is_int(margin) and margin >= 0,
              "margin must be an int >= 0")
     if kind == "explicit":
-        axis = doc.get("axis")
-        _require(_is_int(axis) and axis >= 1, "axis must be an int >= 1")
-        widths = doc.get("widths", [1] * axis)
-        widths = _int_list(widths, "widths must be a list of ints")
+        axis = _size(doc.get("axis"), "axis")
+        widths = (_int_list(doc["widths"], "widths must be a list of ints")
+                  if "widths" in doc else [1] * axis)
         _require(len(widths) == axis, "widths must have one entry per time")
+        _size(sum(widths), "the sum of widths")
         layout = SymbolLayout(modulus, tuple(widths))
         gens = doc.get("generators", [])
         _require(isinstance(gens, list), "generators must be a list")
@@ -95,10 +104,9 @@ def loads(text: str) -> LoadedCode:
             rows.append(row)
         return LoadedCode(GroupCode.from_generators(layout, rows),
                           "explicit", name, None, margin)
-    width = doc.get("width")
-    _require(_is_int(width) and width >= 1, "width must be an int >= 1")
-    axis = doc.get("window")
-    _require(_is_int(axis) and axis >= 1, "window must be an int >= 1")
+    width = _size(doc.get("width"), "width")
+    axis = _size(doc.get("window"), "window")
+    _size(width * axis, "width times window")
 
     def tap_families(key: str):
         fams = doc.get(key, [])

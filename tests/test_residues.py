@@ -1,5 +1,6 @@
 """Howell-form subgroup algebra over Z_M."""
 
+import json
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from groupcodes import codes, dynamics, machines, oracle, spaces
 from groupcodes import residues as R
+from groupcodes.cli import main
 from groupcodes.residues import Subgroup
 
 
@@ -257,7 +259,7 @@ def test_format_group():
     assert R.format_group((2, 4)) == "Z2 x Z4"
 
 
-def test_large_modulus_stays_exact():
+def test_large_modulus_stays_exact(tmp_path, capsys):
     # entries are exact Python ints at every modulus, past the int64 product
     # range too, and numpy integer scalars are turned into ints on the way in
     M = 1 << 40
@@ -284,6 +286,25 @@ def test_large_modulus_stays_exact():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+    # and every subcommand runs with numpy blocked, printing what it prints
+    # in process
+    spec = os.path.join(os.path.dirname(src), "codes", "pairs.code")
+    assert main(["encode", spec, "--random", "3", "--json"]) == 0
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps(json.loads(capsys.readouterr().out)["codeword"]))
+    blocked = ("import sys; sys.modules['numpy'] = None; "
+               "from groupcodes.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["analyze", spec, "--json"], ["dual", spec],
+                 ["encode", spec, "--random", "3"], ["syndrome", spec, "--word", str(word)],
+                 ["oracle", spec, "--quantity", "dual-order"],
+                 ["oracle", spec, "--quantity", "observer-granule", "--at", "2",
+                  "--level", "1"],
+                 ["verify-duality", "--trials", "2"]):
+        assert main(argv) == 0, argv
+        out = subprocess.run([sys.executable, "-c", blocked, *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, (argv, out.stderr)
+        assert out.stdout == capsys.readouterr().out, argv
 
 
 def _numpy_name(value) -> bool:

@@ -54,6 +54,9 @@ def test_entries_reduced_on_load():
     assert loaded.code.contains([1, 1])
 
 
+PAST_INDEX = 2 ** 64 + 13  # larger than any list index
+
+
 def test_malformed_documents():
     for doc in [
         "{nope",
@@ -65,6 +68,18 @@ def test_malformed_documents():
         json.dumps({"kind": "explicit", "modulus": 4, "axis": 1, "name": ["x"]}),
         json.dumps({"kind": "convolutional", "modulus": 4, "width": 1,
                     "generators": [[[1], [1]]], "window": 6, "margin": -1}),
+        # sizes past the index range fail before anything is allocated
+        json.dumps({"kind": "convolutional", "modulus": 4, "width": 1,
+                    "generators": [[[1], [1]]], "window": PAST_INDEX}),
+        json.dumps({"kind": "convolutional", "modulus": 4, "width": PAST_INDEX,
+                    "window": 6}),
+        json.dumps({"kind": "convolutional", "modulus": 4, "width": 2 ** 62,
+                    "window": 4}),
+        json.dumps({"kind": "explicit", "modulus": 4, "axis": PAST_INDEX}),
+        json.dumps({"kind": "explicit", "modulus": 4, "axis": PAST_INDEX,
+                    "widths": [1]}),
+        json.dumps({"kind": "explicit", "modulus": 4, "axis": 2,
+                    "widths": [1, PAST_INDEX]}),
     ]:
         with pytest.raises(specfile.SpecFileError):
             specfile.loads(doc)
@@ -161,6 +176,8 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
             (oracle + ["controller-granule", "--at", "0", "--level", "-3"], "--level"),
             (oracle + ["observer-granule", "--at", "7", "--level", "-1"], "--level"),
             (oracle + ["observer-granule", "--at", "-1", "--level", "1"], "--at"),
+            (oracle + ["observer-granule", "--at", "0", "--level", str(PAST_INDEX)],
+             "--level"),
             (["verify-duality", "--trials", "-5"], "--trials"),
             (["verify-duality", "--max-axis", "1"], "--max-axis"),
             (["verify-duality", "--max-width", "0"], "--max-width"),
@@ -179,6 +196,12 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
     big = tmp_path / "big.code"
     big.write_text(specfile.dumps_convolutional(catalog.rate_one_third_z4(), 12))
     assert main(["oracle", str(big), "--quantity", "order", "--cap", "100"]) == 3
+    # --cap bounds the window enumeration too: 4^4 window words exceed 100
+    small = tmp_path / "small.code"
+    small.write_text(json.dumps({"kind": "explicit", "modulus": 4, "axis": 4,
+                                 "generators": [[1, 1, 1, 1]]}))
+    assert main(["oracle", str(small), "--quantity", "observer-granule",
+                 "--at", "0", "--level", "3", "--cap", "100"]) == 3
     capsys.readouterr()
 
 
