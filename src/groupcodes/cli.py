@@ -193,6 +193,15 @@ def _at_least(args, **bounds: int) -> None:
 
 def cmd_verify_duality(args) -> int:
     _at_least(args, trials=0, max_axis=2, max_width=1)
+    # a drawn code holds up to max_axis * max_width coordinates, so sizes
+    # past an index are refused before anything is drawn
+    for name in ("max_axis", "max_width"):
+        if getattr(args, name) > sys.maxsize:
+            raise specfile.SpecFileError(f"--{name.replace('_', '-')} must be at most "
+                                         f"{sys.maxsize}, got {getattr(args, name)}")
+    if args.max_axis * args.max_width > sys.maxsize:
+        raise specfile.SpecFileError(f"--max-axis times --max-width must be at most "
+                                     f"{sys.maxsize}, got {args.max_axis * args.max_width}")
     try:
         moduli = tuple(int(tok) for tok in args.modulus_set.split(","))
     except ValueError:

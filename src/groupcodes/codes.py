@@ -124,20 +124,22 @@ def restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
                         [[row[i] for i in idx] for row in c.carrier.basis])
 
 
-def pivot_rows(layout: SymbolLayout, rows: Sequence[Row],
-               order: Sequence[int]) -> list[tuple[int, int, int, Row]]:
+def pivot_rows(layout: SymbolLayout, rows: Sequence[Row], order: Sequence[int],
+               skip: int = 0) -> list[tuple[int, int, int, Row]]:
     """One Howell pass over ``rows`` with the blocks of the times in ``order``
     in that order, the other times dropped: (index in ``order`` of the pivot's
     time, pivot column, pivot entry, row) per Howell row, column and row in
     the layout's coordinates.  By the Howell property the rows that pivot past
     the first q times of ``order`` span the words of the pass's span that
-    vanish on those q times."""
+    vanish on those q times.  Only the rows that pivot past the first
+    ``skip`` times are finished and returned."""
     starts, cols, rank = layout.starts, [], [0] * layout.total_dim
+    keep = sum(layout.widths[t] for t in order[:skip])
     for i, t in enumerate(order):
         cols += range(starts[t], starts[t + 1])
         rank[starts[t]:starts[t + 1]] = [i] * layout.widths[t]
     return [(rank[c], c, d, row) for c, d, row in
-            residues.howell_pass(layout.modulus, rows, layout.total_dim, cols)]
+            residues.howell_pass(layout.modulus, rows, layout.total_dim, cols, keep)]
 
 
 @lru_cache(maxsize=16384)
@@ -153,8 +155,8 @@ def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
     if ts == c.layout.full_subset():
         return c
     outside = sorted(c.layout.complement(ts))
-    rows = [(col, d, row) for i, col, d, row in
-            pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts)) if i >= len(outside)]
+    rows = [(col, d, row) for _, col, d, row in
+            pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts), len(outside))]
     return GroupCode(c.layout, Subgroup(c.layout.modulus, c.layout.total_dim, rows))
 
 
@@ -211,4 +213,4 @@ def conditioned(c: GroupCode, d: GroupCode, times: TimeSubset) -> GroupCode:
     rows = ([(*(b[i] for i in lead), *b) for b in c.carrier.basis]
             + [db + zeros for db in d.carrier.basis])
     return GroupCode(c.layout, Subgroup(M, n, [
-        (p - w, e, row[w:]) for p, e, row in residues.howell_pass(M, rows, w + n) if p >= w]))
+        (p - w, e, row[w:]) for p, e, row in residues.howell_pass(M, rows, w + n, keep=w)]))

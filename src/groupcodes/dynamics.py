@@ -20,9 +20,16 @@ per member:
   C_{:[k,N)} for k = N-1 down to 0, with the times reversed, keeping each
   row's pivot column and pivot entry; ``interval_orders``, |C_{:[k,n)}| for
   every k <= n, is a running product of M/pivot over their end times.
-* ``window_orders`` drops one block at a time from the code's own basis and
-  inserts the rows that pivoted in it again, giving |C_{|[m,n)}| for every
-  m <= n.
+* ``_window_sweep`` drops one block at a time from the code's own basis and
+  inserts the rows that pivoted in it again, giving the Howell form of
+  C_{|[m,N)} for each m; ``window_orders``, |C_{|[m,n)}| for every m <= n,
+  reads its pivots.
+* The granule tables hold one subgroup of one symbol block per entry:
+  ``subcode_ends`` (the block-b symbols that end a word of C_{:[a,b]}) is
+  the block-b parts of the profile rows of start a that end at b, and
+  ``window_ends`` (Y([a,b]), the block-b symbols of the words of C_{|[a,b]}
+  that vanish on [a,b)) is the block-b parts of the rows of C_{|[a,N)} that
+  pivot in block b.
 * ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
   the Howell rows of every prefix subcode C_{:[0,k)}; stacked over the code's
   basis rows from block k on, they are the kernel of the state map, held as
@@ -34,20 +41,24 @@ shortening too; for observability the interior term is the window's order
 |C_{|[m,n)}|.  Both tests take an empty interval [m, m), where each is the
 zero-memory test at cut m, so an index search has one test shape for every
 length.  The tests, the index searches and the machines' memory read their
-orders off those tables and make no pass.  Phi, ordinary or end-around,
-comes from two passes over the interval (``ending_symbols``), with no dual.
-F_k is read off the code's basis, and the four output chains off two passes,
-one per direction, each nesting all its levels, which one run of inserts per
-pass reads off from the last level up; their successive quotients are the
-granules Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read
-(``ChainReport``).
+orders off those tables and make no pass.  Each ordinary granule is a
+quotient of two entries of a granule table: Gamma_{[k,k+j]} is
+``subcode_ends``' [k][k+j] modulo its [k+1][k+j], and Phi_{[k,k+j]} is
+Y([k+1,k+j]) / Y([k,k+j]), with no dual and no pass of its own.  No sweep
+covers a set that wraps past the ends of the axis, so end-around granules
+keep their own routes (``controller_granule_on``, ``observer_granule_on``
+and its two passes, ``ending_symbols``).  F_k is read off the code's basis,
+and the four output chains off two passes, one per direction, each nesting
+all its levels, which one run of inserts per pass reads off from the last
+level up; their successive quotients are the granules Gamma_{[k,k+j]} and
+Phi_{[k,k+j]} that reports read (``ChainReport``).
 
 The definitional routes that the theorems equate with these live in
 ``verify``, each in the theorem that compares it: the state space at any cut
-and its four definitions, C^j as an intersection of window lifts, and Phi as
-C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few routes below,
-which stay here because ``perfbench/spans.py`` traces them by name: the
-one-interval granule functions, ``controllability_tests`` and
+and its four definitions, C^j as the words that pass every window's check,
+and Phi as C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few
+routes below, which stay here because ``perfbench/spans.py`` traces them by
+name: the granule functions, ``controllability_tests`` and
 ``observability_tests`` (each characterization on its own), and the memoized
 ``controllable_subcode`` (spans of ``span_profile`` rows) and
 ``observable_supercode`` (((C^perp)_j)^perp).
@@ -66,6 +77,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import prod
 from operator import mul
+from typing import Iterable, Iterator
 
 from . import residues
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
@@ -170,32 +182,89 @@ def interval_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+def _window_sweep(code: GroupCode) -> Iterator[residues.IncrementalHowell]:
+    """Yield the ``IncrementalHowell`` form of C_{|[m,N)} for m = 0..N-1, one
+    form updated in place, held on the full coordinates (zero before block m).
+
+    The form at m is the one at m-1 with its rows that pivot in block m-1
+    cut down to the later blocks and inserted again.  By the Howell property
+    its rows that pivot from block n on span the words of C_{|[m,N)} that
+    vanish on [m, n).
+    """
+    starts = code.layout.starts
+    form = residues.IncrementalHowell(code.layout.modulus, code.layout.total_dim,
+                                      code.carrier.tails)
+    for m in code.layout.times():
+        for c, tail in form.drop(starts[m]):
+            form.insert(tail[starts[m] - c:], starts[m])
+        yield form
+
+
 @lru_cache(maxsize=1024)
 def window_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
     """``window_orders(code)[m][n]`` is |C_{|[m,n)}| for 0 <= m, n <= N (1 for
     n <= m, the empty window).
 
-    One forward sweep: the Howell form of C_{|[m,N)} (held on the full
-    coordinates, zero before block m) is that of C_{|[m-1,N)} with its rows
-    that pivot in block m-1 cut down to the later blocks and inserted again.
-    By the Howell property its rows that pivot from block n on span the
-    words of C_{|[m,N)} that vanish on [m, n), the kernel of the projection
-    onto the window, so |C_{|[m,n)}| is the product of M/pivot over the rows
-    that pivot before block n.
+    Read off the pivots of ``_window_sweep``: the rows of C_{|[m,N)} that
+    pivot from block n on span the kernel of the projection onto the window,
+    so |C_{|[m,n)}| is the product of M/pivot over the rows that pivot before
+    block n.
     """
     layout = code.layout
-    M, N, starts = layout.modulus, layout.axis_len, layout.starts
+    M, N = layout.modulus, layout.axis_len
     time_of = [t for t in layout.times() for _ in layout.block(t)]
-    form = residues.IncrementalHowell(M, layout.total_dim, code.carrier.tails)
     table = []
-    for m in range(N):
-        for c, tail in form.drop(starts[m]):
-            form.insert(tail[starts[m] - c:], starts[m])
+    for m, form in enumerate(_window_sweep(code)):
         at_time = [1] * N
         for c, d in form.pivots():
             at_time[time_of[c]] *= M // d
         table.append((1,) * m + tuple(accumulate(at_time[m:], mul, initial=1)))
     table.append((1,) * (N + 1))
+    return tuple(table)
+
+
+def _block_group(layout: SymbolLayout, t: int,
+                 rows: Iterable[tuple[int, int, Row]]) -> Subgroup:
+    """The group of time-t symbols spanned by the block-t parts of Howell rows
+    that pivot in block t, each (pivot column, pivot entry, tail from the
+    pivot on).  Those parts are the Howell form of the projection onto block
+    t of the span of these rows and the rows that pivot after block t."""
+    s, e = layout.starts[t], layout.starts[t + 1]
+    return Subgroup(layout.modulus, e - s, residues.written_out(
+        [(c - s, d, tail[:e - c]) for c, d, tail in rows], e - s))
+
+
+@lru_cache(maxsize=1024)
+def subcode_ends(code: GroupCode) -> tuple[tuple[Subgroup, ...], ...]:
+    """``subcode_ends(code)[a][b]``, for 0 <= a <= N and 0 <= b < N, is the
+    group of time-b symbols that end a word of C_{:[a,b]} (trivial for
+    b < a): the block-b parts of the ``span_profile`` rows of start a that
+    end at b, since the rows that end before b vanish there."""
+    layout = code.layout
+    table = [tuple(_block_group(layout, b, [(c, d, row[c:]) for c, d, row in ending])
+                   for b, ending in enumerate(by_end))
+             for by_end in span_profile(code)]
+    table.append(tuple(Subgroup.trivial(layout.modulus, w) for w in layout.widths))
+    return tuple(table)
+
+
+@lru_cache(maxsize=1024)
+def window_ends(code: GroupCode) -> tuple[tuple[Subgroup, ...], ...]:
+    """``window_ends(code)[a][b]``, for 0 <= a <= N and 0 <= b < N, is
+    Y([a, b]), the group of time-b symbols of the words of C_{|[a,b]} that
+    vanish on [a, b) (the whole symbol group for b < a): the block-b parts of
+    the rows of C_{|[a,N)} in ``_window_sweep`` that pivot in block b."""
+    layout = code.layout
+    full = tuple(Subgroup.full(layout.modulus, w) for w in layout.widths)
+    time_of = [t for t in layout.times() for _ in layout.block(t)]
+    table = []
+    for a, form in enumerate(_window_sweep(code)):
+        by_time = [[] for _ in layout.times()]
+        for row in form.rows():
+            by_time[time_of[row[0]]].append(row)
+        table.append(full[:a] + tuple(_block_group(layout, b, by_time[b])
+                                      for b in range(a, layout.axis_len)))
+    table.append(full)
     return tuple(table)
 
 
@@ -278,9 +347,15 @@ def controller_granule_on(code: GroupCode, interval: Interval) -> Invariants:
 
 
 def controller_granule(code: GroupCode, k: int, level: int) -> Invariants:
-    """Gamma_{[k, k+level]}; level 0 is the parallel-transition subgroup at k."""
+    """Gamma_{[k, k+level]}; level 0 is the parallel-transition subgroup at k.
+
+    Projected onto block k+j, the interval subcode C_{:[k,k+j]} has kernel
+    C_{:[k,k+j-1]}, which lies in the two one-short subcodes, so Gamma is
+    ``subcode_ends``' [k][k+j] modulo its [k+1][k+j].
+    """
     _check_interval(code, k, level)
-    return controller_granule_on(code, Interval(k, k + level))
+    ends = subcode_ends(code)
+    return quotient_invariants(ends[k][k + level], ends[k + 1][k + level])
 
 
 def end_around_controller_granule(code: GroupCode, interval: Interval) -> Invariants:
@@ -315,17 +390,19 @@ def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
     """
     if h not in times:
         raise ValueError(f"time {h} is not in the subset {sorted(times)}")
-    block, rest = code.layout.block(h), sorted(times - {h})
-    rows = [(col - block.start, d, row[block.start:block.stop]) for i, col, d, row in
-            pivot_rows(code.layout, code.carrier.basis, rest + [h]) if i == len(rest)]
-    return Subgroup(code.layout.modulus, len(block), rows)
+    rest = sorted(times - {h})
+    return _block_group(code.layout, h, [
+        (col, d, row[col:]) for _, col, d, row in
+        pivot_rows(code.layout, code.carrier.basis, rest + [h], len(rest))])
 
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
     """Phi_{[k, k+level]}; level 0 is the symbol group modulo the code's output
-    group at k."""
+    group at k.  Y([k+1, k+j]) / Y([k, k+j]), as in ``observer_granule_on``,
+    read off ``window_ends``."""
     _check_interval(code, k, level)
-    return observer_granule_on(code, Interval(k, k + level))
+    ends = window_ends(code)
+    return quotient_invariants(ends[k + 1][k + level], ends[k][k + level])
 
 
 def end_around_observer_granule(code: GroupCode, interval: Interval) -> Invariants:
@@ -531,10 +608,8 @@ def first_output_group(code: GroupCode, k: int) -> Subgroup:
     """F_k = (C_{:[k,N)})_{|{k}}: the block-k parts of the basis rows that
     pivot in block k, a Howell form, since the later rows vanish there and,
     by the Howell property, all of them span C_{:[k,N)}."""
-    carrier, block = code.carrier, code.layout.block(k)
-    return Subgroup(carrier.modulus, len(block),
-                    [(c - block.start, d, row[block.start:block.stop])
-                     for (c, d), row in zip(carrier.pivots, carrier.basis) if c in block])
+    block = code.layout.block(k)
+    return _block_group(code.layout, k, [t for t in code.carrier.tails if t[0] in block])
 
 
 def syndrome_group(code: GroupCode, k: int) -> Invariants:

@@ -272,18 +272,21 @@ def written_out(rows: Tails, width: int,
 
 
 def howell_pass(modulus: int, rows: Iterable[Sequence[int]], ambient: int,
-                cols: Sequence[int] | None = None) -> list[Pivoted]:
+                cols: Sequence[int] | None = None, keep: int = 0) -> list[Pivoted]:
     """The Howell form of residue rows (entries in [0, M)) of length
     ``ambient``: (pivot column, pivot entry, row) per Howell row, top row
     first, from one ``IncrementalHowell`` fed every row.
 
     Given ``cols``, the pass takes those columns in that order and drops the
     others; pivot columns and rows stay in the rows' own coordinates, zero
-    off ``cols``.
+    off ``cols``.  Given ``keep``, only the rows that pivot at or past the
+    pass's column ``keep`` are back-reduced and returned: the Howell form of
+    the elements of the span that vanish on the columns before it.
     """
     form = IncrementalHowell(modulus, ambient if cols is None else len(cols))
     for r in rows:
         form.insert(r if cols is None else [r[c] for c in cols])
+    form.drop(keep)
     return written_out(form.rows(), ambient, cols)
 
 
@@ -432,7 +435,7 @@ def orthogonal(h: Subgroup) -> Subgroup:
     M, n, r = h.modulus, h.ambient, h.num_generators
     aug = [[b[i] for b in h.basis] + [int(i == j) for j in range(n)] for i in range(n)]
     return Subgroup(M, n, [(c - r, d, row[r:])
-                           for c, d, row in howell_pass(M, aug, r + n) if c >= r])
+                           for c, d, row in howell_pass(M, aug, r + n, keep=r)])
 
 
 def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
@@ -447,7 +450,7 @@ def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
     zeros = (0,) * n
     rows = [a + a for a in h1.basis] + [b + zeros for b in h2.basis]
     return Subgroup(M, n, [(c - n, d, row[n:])
-                           for c, d, row in howell_pass(M, rows, 2 * n) if c >= n])
+                           for c, d, row in howell_pass(M, rows, 2 * n, keep=n)])
 
 
 def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:

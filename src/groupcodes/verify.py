@@ -7,7 +7,11 @@ differ) when they do not.  The library routes come from ``codes``,
 ``dynamics`` and ``machines``; the definitional routes that only the
 theorems compare against them live here (``state_space``,
 ``state_space_routes``, ``window_supercode`` and the bodies of the
-theorems).
+theorems).  ``window_supercode`` shares nothing with the library's
+``observable_supercode``: it conditions on each window in turn, where the
+library takes the dual of a controllable subcode of the dual.  Ordinary
+granules come off the library's granule tables and end-around ones off
+their own passes, so ``end-around`` compares the two routes.
 
 ``ALL_CHECKS`` pairs each theorem's name with its parameter draw, as one
 ``(rng, code)`` callable.  One seeded trial draws a random layout and code
@@ -28,8 +32,8 @@ from random import Random
 from typing import Callable
 
 from . import dynamics, machines, residues
-from .codes import (GroupCode, code_equal, code_intersect, conditioned, cut_product,
-                    dual, lift_restriction, restricted_subcode, restriction, shorten)
+from .codes import (GroupCode, code_equal, conditioned, cut_product, dual,
+                    restricted_subcode, restriction, shorten)
 from .residues import Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout, TimeSubset
 
@@ -124,14 +128,16 @@ def state_space_routes(code: GroupCode,
 
 
 def window_supercode(code: GroupCode, level: int) -> GroupCode:
-    """C^j by definition: the intersection of the lifts of every window."""
+    """C^j by definition: the words whose part on every length-(j+1) window W
+    lies in C_{|W}, one ``conditioned`` pass per window."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = code.layout.axis_len
-    j = min(level, n - 1)
-    acc = GroupCode.full(code.layout)
-    for k in range(0, n - j):
-        acc = code_intersect(acc, lift_restriction(code, code.layout.interval(k, k + j)))
+    layout = code.layout
+    j = min(level, layout.axis_len - 1)
+    acc = GroupCode.full(layout)
+    for k in range(0, layout.axis_len - j):
+        window = layout.interval(k, k + j)
+        acc = conditioned(acc, restriction(code, window), layout.complement(window))
     return acc
 
 
@@ -214,7 +220,7 @@ def granule_duality(code: GroupCode, k: int, level: int) -> dict | None:
     """Phi_{[k,k+j]}(C) acts as the character group of Gamma_{[k,k+j]}(C^perp):
     as finite abelian groups they share invariant factors.  Phi is taken here
     by its supercode definition, C^{j-1}_{|W} / C^j_{|W} on the window
-    W = [k, k+j], with each C^j an intersection of window lifts."""
+    W = [k, k+j], with each C^j from ``window_supercode``."""
     gamma = dynamics.controller_granule(dual(code), k, level)  # rejects bad intervals
     window = code.layout.interval(k, k + level)
     num = (restriction(window_supercode(code, level - 1), window).carrier if level

@@ -387,6 +387,7 @@ def _biased_entry(rng, M, divisors):
 def test_howell_kernel_matches_numpy_reference():
     rng = random.Random(20040)
     col_rng = random.Random(20041)  # column orders, apart from the matrices
+    keep_rng = random.Random(20042)  # kept positions, apart from both
     for M in KERNEL_MODULI:
         divisors = [d for d in (2, 3, 4, 6, 8, 9, 12, 1 << 20, 1 << 35, 1 << 64)
                     if M % d == 0 and d < M] or [1]
@@ -422,6 +423,13 @@ def test_howell_kernel_matches_numpy_reference():
             assert [list(row) for _, _, row in got_cols] == want_cols.tolist(), (M, mat, cols)
             assert all(row[c] == d and not any(row[j] for j in cols[:cols.index(c)])
                        for c, d, row in got_cols), (M, mat, cols)
+            # given keep, the pass returns the reference rows that pivot at or
+            # past position keep of cols
+            keep = keep_rng.randint(0, len(cols))
+            want_kept = [row for row, ref in zip(want_cols.tolist(), taken.tolist())
+                         if next(j for j, x in enumerate(ref) if x) >= keep]
+            got_kept = R.howell_pass(M, rows, n, cols, keep)
+            assert [list(row) for _, _, row in got_kept] == want_kept, (M, mat, cols, keep)
             for _ in range(3):
                 v = [_biased_entry(rng, M, divisors) for _ in range(n)]
                 red = h.reduce(v)

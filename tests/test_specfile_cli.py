@@ -181,6 +181,11 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
             (["verify-duality", "--trials", "-5"], "--trials"),
             (["verify-duality", "--max-axis", "1"], "--max-axis"),
             (["verify-duality", "--max-width", "0"], "--max-width"),
+            # sizes past an index are refused before a code is drawn
+            (["verify-duality", "--max-axis", str(2**64 + 13)], "--max-axis"),
+            (["verify-duality", "--max-width", str(2**64 + 13)], "--max-width"),
+            (["verify-duality", "--max-axis", str(2**32), "--max-width", str(2**32)],
+             "--max-width"),
             (["verify-duality", "--modulus-set", "2,,3"], "--modulus-set"),
             (oracle + ["order", "--cap", "-1"], "--cap"),
             (oracle + ["order", "--cap", "0"], "--cap"),

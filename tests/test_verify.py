@@ -87,6 +87,7 @@ def _planted_faults():
         dyn.state_at, dyn._chain_skips, dyn.output_chains)
     orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
                                       dyn._cut_heads, R.IncrementalHowell.insert)
+    subcode_ends, window_ends = dyn.subcode_ends, dyn.window_ends
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -123,6 +124,9 @@ def _planted_faults():
 
     def short_windows(code):  # |C_{|[m,n)}| read as |C_{|[m,n-1)}|
         return tuple(row[:1] + row[:-1] for row in windows(code))
+
+    def late_start(table):  # the entry [a][b] read as [a+1][b]
+        return lambda code: table(code)[1:] + table(code)[-1:]
 
     def pivot_growth(self, row, start=0):  # growth read off the pivot count,
         before = len(self.pivots())        # so a merge that only lowers a
@@ -175,13 +179,15 @@ def _planted_faults():
         (dyn, "observability_tests", bad_window_lift, "interval-test-equivalence"),
         (verify, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
         (dyn, "span_profile", late_profile, "granule-factorization"),
-        (dyn, "observer_granule_on", short_phi, "granule-factorization"),
+        (dyn, "observer_granule_on", short_phi, "end-around"),
+        (dyn, "subcode_ends", late_start(subcode_ends), "granule-factorization"),
+        (dyn, "window_ends", late_start(window_ends), "granule-factorization"),
         (dyn, "controllable_on", long_overlap, "interval-test-equivalence"),
         (dyn, "_cut_heads", short_past, "state-size-factorization"),
         (dyn, "interval_orders", long_intervals, "interval-test-equivalence"),
         (dyn, "window_orders", short_windows, "interval-test-equivalence"),
         (R.IncrementalHowell, "insert", pivot_growth, "machine-roundtrip"),
-        (dyn, "ending_symbols", short_ending, "granule-factorization"),
+        (dyn, "ending_symbols", short_ending, "end-around"),
         (dyn, "state_at",  # the cut read one time late
          lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
          "state-size-factorization"),
