@@ -43,11 +43,17 @@ def _analysis(loaded: specfile.LoadedCode, cut: int | None,
     code = loaded.code
     n = code.layout.axis_len
     k = n // 2 if cut is None else cut
+    # a value from a flag names the flag; one from the spec file keeps the
+    # spec file's terms
     if not 1 <= k <= n - 1:
-        raise specfile.SpecFileError(f"cut must satisfy 1 <= cut <= {n - 1}")
+        bound = f"1 <= cut <= {n - 1}"
+        raise specfile.SpecFileError(f"cut must satisfy {bound}" if cut is None
+                                     else f"--cut must satisfy {bound}, got {cut}")
     m = margin if margin is not None else (loaded.margin or 0)
     if n - 2 * m < 0:
-        raise specfile.SpecFileError("margin leaves no interior")
+        raise specfile.SpecFileError(
+            "margin leaves no interior" if margin is None
+            else f"--margin must be at most {n // 2} on an axis of {n}, got {margin}")
     levels = min(max(m, 1), n - 1)
     state = dynamics.state_at(code, k)
     # F_j/F_{j-1} ~ Gamma_{[t,t+j]} and the chain's Phi read give the granules
@@ -90,6 +96,7 @@ def _analysis(loaded: specfile.LoadedCode, cut: int | None,
 
 
 def cmd_analyze(args) -> int:
+    _at_least(args, margin=0)
     loaded = specfile.load(args.file)
     report = _analysis(loaded, args.cut, args.margin)
     if args.json:

@@ -47,11 +47,13 @@ quotient of two entries of a granule table: Gamma_{[k,k+j]} is
 Y([k+1,k+j]) / Y([k,k+j]), with no dual and no pass of its own.  No sweep
 covers a set that wraps past the ends of the axis, so end-around granules
 keep their own routes (``controller_granule_on``, ``observer_granule_on``
-and its two passes, ``ending_symbols``).  F_k is read off the code's basis,
-and the four output chains off two passes, one per direction, each nesting
-all its levels, which one run of inserts per pass reads off from the last
-level up; their successive quotients are the granules Gamma_{[k,k+j]} and
-Phi_{[k,k+j]} that reports read (``ChainReport``).
+and its two passes, ``ending_symbols``).  F_k is read off the code's basis.
+Of the four output chains at time k, the first- and last-output chains are
+read off ``span_profile``, and the two dual chains off one window pass each,
+over the times on one side of k up to the chain's top level and no further;
+each pass nests all its levels, which one run of inserts reads off from the
+last level up.  The chains' successive quotients are the granules
+Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``).
 
 The definitional routes that the theorems equate with these live in
 ``verify``, each in the theorem that compares it: the state space at any cut
@@ -576,32 +578,22 @@ def _successive_quotients(chain: tuple[Subgroup, ...]) -> tuple[Invariants, ...]
 
 
 def _chain_pass(code: GroupCode, k: int, order: list[int],
-                skips: set[int]) -> dict[int, Subgroup]:
-    """q -> (C_{:S})_{|{k}} for each q in ``skips``, S the times past the
-    first q of ``order``, from one ``pivot_rows`` pass with k last: the block-k
-    parts of the rows that pivot past those q times span it, and the levels
-    nest, so one run of inserts from the last row up gives every level."""
+                cap: int) -> tuple[Subgroup, ...]:
+    """Levels j = 0..cap: the block-k symbols of the codewords that vanish on
+    the first min(j, len(order)) times of ``order``, with len(order) <= cap,
+    from one ``pivot_rows`` pass over the times of ``order`` and k, with k
+    last: the block-k parts of the rows that pivot past those times span
+    level j, and the levels nest, so one run of inserts from the last row up
+    gives every level."""
     block, M = code.layout.block(k), code.layout.modulus
     rows = pivot_rows(code.layout, code.carrier.basis, [*order, k])
     form = residues.IncrementalHowell(M, len(block))
-    levels = {}
-    for q in sorted(skips, reverse=True):
+    levels = []
+    for q in reversed(range(len(order) + 1)):
         while rows and rows[-1][0] >= q:
             form.insert(rows.pop()[3][block.start:block.stop])
-        levels[q] = Subgroup(M, len(block), residues.written_out(form.rows(), len(block)))
-    return levels
-
-
-def _chain_skips(before: int, after: int, j: int) -> tuple[int, int, int, int]:
-    """How many leading times of its pass each level-j chain group vanishes on.
-
-    Pass A takes the times before k, then those after k, each in reverse:
-    F_{j,k} vanishes off [k, k+j] and F^{j,k} on [k-j, k).  Pass B takes the
-    times after k, then those before k: L_{j,k} vanishes off [k-j, k] and
-    L^{j,k} on (k, k+j].
-    """
-    return (before + max(after - j, 0), min(j, before),
-            after + max(before - j, 0), min(j, after))
+        levels.append(Subgroup(M, len(block), residues.written_out(form.rows(), len(block))))
+    return tuple(levels[-1 - min(j, len(order))] for j in range(cap + 1))
 
 
 def first_output_group(code: GroupCode, k: int) -> Subgroup:
@@ -618,19 +610,38 @@ def syndrome_group(code: GroupCode, k: int) -> Invariants:
 
 
 def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> ChainReport:
-    """The four chains at time k, off two passes (``_chain_skips``)."""
-    N = code.layout.axis_len
+    """The four chains at time k, up to level cap = min(max_level, N-1).
+
+    F_{j,k} = (C_{:[k,k+j]})_{|{k}} is spanned by the block-k parts of the
+    ``span_profile`` rows of start k that end by time k+j, one insert each
+    into a form of block k's width, read after each level.  L_{j,k} is
+    (C_{:[k-j,k]})_{|{k}}, the block-k parts of the profile rows of start
+    max(k-j, 0) that end at k.  F^{j,k}, the block-k symbols of the codewords
+    that vanish on [k-j, k), is Y([k-j, k]), which depends only on
+    C_{|[k-cap,k]}: one ``_chain_pass`` over the times k-1 down to k-cap.
+    L^{j,k} is its mirror, one pass over the times k+1 up to k+cap.
+    """
+    layout = code.layout
+    N, M = layout.axis_len, layout.modulus
     if not 0 <= k < N:
         raise ValueError("time out of range")
     if max_level is not None and max_level < 0:
         raise ValueError("max_level must be >= 0")
     cap = N - 1 if max_level is None else min(max_level, N - 1)
-    skips = [_chain_skips(k, N - 1 - k, j) for j in range(cap + 1)]
-    a = _chain_pass(code, k, [*reversed(range(k)), *reversed(range(k + 1, N))],
-                    {q for f, df, _, _ in skips for q in (f, df)})
-    b = _chain_pass(code, k, [*range(k + 1, N), *range(k)],
-                    {q for _, _, la, dl in skips for q in (la, dl)})
-    first, dual_first, last, dual_last = zip(*((a[f], a[df], b[la], b[dl])
-                                               for f, df, la, dl in skips))
-    return ChainReport(code=code, time=k, first_output=first, last_output=last,
-                       dual_first=dual_first, dual_last=dual_last)
+    block, profile = layout.block(k), span_profile(code)
+    form = residues.IncrementalHowell(M, len(block))
+    first = []
+    for j in range(cap + 1):
+        if k + j == N:  # every later level is F_{N-1-k,k} = F_k
+            first += first[-1:] * (cap + 1 - j)
+            break
+        for _, _, row in profile[k][k + j]:
+            form.insert(row[block.start:block.stop])
+        first.append(Subgroup(M, len(block), residues.written_out(form.rows(), len(block))))
+    last = tuple(_block_group(layout, k, [(c, d, row[c:]) for c, d, row in
+                                          profile[max(k - j, 0)][k]])
+                 for j in range(cap + 1))
+    return ChainReport(
+        code=code, time=k, first_output=tuple(first), last_output=last,
+        dual_first=_chain_pass(code, k, [*range(k - 1, max(k - cap, 0) - 1, -1)], cap),
+        dual_last=_chain_pass(code, k, [*range(k + 1, min(k + cap, N - 1) + 1)], cap))

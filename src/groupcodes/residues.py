@@ -35,10 +35,10 @@ numpy when called.
 from __future__ import annotations
 
 import operator
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Sequence
 
-from .snf import _xgcd, lattice_quotient_invariants
+from .snf import _gcdex, _unit_lifting, lattice_quotient_invariants
 
 Row = tuple[int, ...]
 Pivoted = tuple[int, int, Row]  # (pivot column, pivot entry, row)
@@ -88,34 +88,6 @@ def reduce_ints(modulus: int, tails: Tails, r: list[int]) -> list[int]:
             end = col + len(tail)
             r[col:end] = [(a - q * b) % M for a, b in zip(r[col:end], tail)]
     return r
-
-
-def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
-    """Return (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0, s*v - t*u = 1.
-
-    The 2x2 matrix [[s, t], [u, v]] has determinant 1 over the integers, so it
-    is invertible over Z_M for every M; applying it as a row operation
-    preserves row spans.  Needs a or b nonzero.
-    """
-    g, s, t = _xgcd(a, b)
-    return g, s, t, -(b // g), a // g
-
-
-def _unit_lifting(a: int, M: int) -> tuple[int, int]:
-    """Return (d, u) with d = gcd(a, M) and u a unit of Z_M, u*a = d (mod M).
-
-    gcd(a/d, M/d) = 1, so an inverse of a/d exists mod M/d; it is then nudged
-    along the progression u0 + t*(M/d) until it is coprime to M itself.
-    """
-    a %= M
-    d = gcd(a, M)
-    if d == M:  # a == 0
-        return M, 1
-    u = pow(a // d, -1, M // d)
-    step = M // d
-    while gcd(u, M) != 1:
-        u += step
-    return d, u % M
 
 
 def _minus(M: int, a: Sequence[int], q: int, b: Sequence[int]) -> list[int]:
@@ -456,11 +428,11 @@ def intersect(h1: Subgroup, h2: Subgroup) -> Subgroup:
 def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of the finite abelian group a/b.
 
-    Requires b <= a: the lattice solve in ``snf`` raises ``ValueError`` for
-    a row of b outside a.  Both groups are identified with integer lattices
-    between M*Z^n and Z^n; the quotient's elementary divisors come from an
-    integer Smith normal form, which sidesteps the zero divisors of Z_M.  Unit
-    factors are dropped, so the trivial group is ().
+    Requires b <= a: a row of b outside a raises ``ValueError``.  ``snf``
+    presents a/b on generators, one per Howell row of a, with relations read
+    off both Howell forms by greedy reduction, and runs one Smith step over
+    Z_M on them, which sidesteps the zero divisors of Z_M without leaving
+    it.  Unit factors are dropped, so the trivial group is ().
     """
     a._check_compatible(b)
     return lattice_quotient_invariants(a.modulus, a.ambient, a.basis, b.basis)

@@ -1,19 +1,24 @@
-"""Smith normal forms for the quotient invariants of subgroups of (Z_M)^n.
+"""Smith normal forms over Z_M for the quotient invariants of subgroups of (Z_M)^n.
 
-Used to classify finite abelian quotients A/B of subgroups of (Z_M)^n.  Both
-subgroups are lifted to integer lattices sandwiched between M*Z^n and Z^n;
-the invariant factors of the quotient are the nontrivial elementary divisors
-of the change-of-basis matrix between the two lattices.  The Hermite basis of
-each lattice is its Howell form lifted to Z, so only the Smith step runs over
-Z, and it runs only on the rows where the two lifted bases differ: every
-shared row contributes a factor 1.
+Used to classify finite abelian quotients A/B of subgroups of (Z_M)^n, with
+both groups given by their Howell forms.  Let a_1..a_r be A's Howell rows,
+with pivot entries p_i.  Then A ~ Z_M^r / K, where K is spanned by one row
+rho_i = (M/p_i)*e_i - x_i for each i with p_i != 1, x_i being the
+coefficients of (M/p_i)*a_i over the later rows, which greedy reduction finds
+exactly by the Howell property.  These rows span K: in a relation
+sum c_i*a_i = 0 the first nonzero c_i is the only term at a_i's pivot column,
+so M/p_i divides it, and subtracting that multiple of rho_i leaves a shorter
+relation.  Hence A/B ~ Z_M^r / (K + the coefficients of B's rows), and one
+Smith step over Z_M on that relation matrix gives the invariants.  A row of
+A that is also a row of B drops its generator and its column.
 
-Everything here runs on plain Python ints: intermediate entries in a Smith
-reduction can overflow fixed-width words even for small inputs.
+Everything here runs on plain Python ints, and every entry of the Smith step
+stays in [0, M), so no entry grows.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -31,122 +36,177 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def lifted_howell_basis(modulus: int, ambient: int,
-                        rows: Sequence[Sequence[int]]) -> Matrix:
-    """Hermite basis of span_Z(rows) + M*Z^ambient, for a Howell form ``rows``.
+def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
+    """Return (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0, s*v - t*u = 1.
 
-    Each Howell row, lifted to Z with entries in [0, M), is the basis row of
-    its pivot column, and M*e_c is the row of each column c without a pivot.
-    The result is upper triangular with every entry above the diagonal
-    reduced modulo the diagonal entry below it, so it is the Hermite normal
-    form itself; the Howell property puts M*e_c into its span at the pivot
-    columns too.
+    The 2x2 matrix [[s, t], [u, v]] has determinant 1 over the integers, so it
+    is invertible over Z_M for every M; applying it as a row operation
+    preserves row spans.  Needs a or b nonzero.
     """
-    by_pivot = {next(c for c, x in enumerate(row) if x): list(row) for row in rows}
-    return [by_pivot.get(c) or [modulus if i == c else 0 for i in range(ambient)]
-            for c in range(ambient)]
+    g, s, t = _xgcd(a, b)
+    return g, s, t, -(b // g), a // g
 
 
-def solve_upper_triangular(basis: Matrix, target: Sequence[int]) -> list[int]:
-    """Solve x @ basis == target exactly over Z (basis upper triangular).
+def _unit_lifting(a: int, M: int) -> tuple[int, int]:
+    """Return (d, u) with d = gcd(a, M) and u a unit of Z_M, u*a = d (mod M).
 
-    Forward substitution that subtracts each found multiple of a basis row
-    from the rest of the target, so zero coefficients cost nothing.
+    gcd(a/d, M/d) = 1, so an inverse of a/d exists mod M/d; it is then nudged
+    along the progression u0 + t*(M/d) until it is coprime to M itself.
     """
-    n = len(basis)
-    x = [0] * n
-    rest = list(target)
-    for j in range(n):
-        if rest[j]:
-            q, r = divmod(rest[j], basis[j][j])
-            if r:
-                raise ValueError("target is not in the lattice: a quotient a/b "
-                                 "requires b to be a subgroup of a")
-            x[j] = q
-            rest[j:] = [a - q * b for a, b in zip(rest[j:], basis[j][j:])]
+    a %= M
+    d = gcd(a, M)
+    if d == M:  # a == 0
+        return M, 1
+    u = pow(a // d, -1, M // d)
+    step = M // d
+    while gcd(u, M) != 1:
+        u += step
+    return d, u % M
+
+
+Howell = Sequence[tuple[int, int, Sequence[int]]]
+
+
+def pivoted(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int]]]:
+    """(pivot column, pivot entry, row) of each row of a Howell form."""
+    out = []
+    for row in rows:
+        c = next(c for c, x in enumerate(row) if x)
+        out.append((c, row[c], row))
+    return out
+
+
+def coefficients(modulus: int, howell: Howell, row: Sequence[int]) -> list[int]:
+    """Coefficients x in [0, M) with sum x_i * howell[i] == row (mod M).
+
+    ``howell`` holds (pivot column, pivot entry, row) per row of a Howell
+    form, top row first; greedy reduction against it reaches zero exactly
+    when ``row`` lies in its span, and a row outside it raises ``ValueError``.
+    """
+    M = modulus
+    r = list(row)
+    x = []
+    for c, d, h in howell:
+        q = r[c] // d
+        x.append(q)
+        if q:
+            r[c:] = [(a - q * b) % M for a, b in zip(r[c:], h[c:])]
+    if any(r):
+        raise ValueError("row is not in the span: a quotient a/b requires b "
+                         "to be a subgroup of a")
     return x
 
 
-def smith_diagonal(mat: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form of a square integer matrix.
+def quotient_relations(modulus: int, a_rows: Sequence[Sequence[int]],
+                       b_rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+    """(r, relations) with A/B ~ Z_M^r / span(relations), for Howell forms
+    ``a_rows`` of A and ``b_rows`` of B <= A: the coefficients of B's rows
+    over A's, then the rows rho_i of K, with the generator and the column of
+    each row of A that is also a row of B dropped."""
+    M = modulus
+    a = pivoted(a_rows)
+    index = {tuple(row): i for i, (_, _, row) in enumerate(a)}
+    shared, rels = set(), []
+    for row in b_rows:
+        i = index.get(tuple(row))
+        if i is None:
+            rels.append(coefficients(M, a, row))
+        else:
+            shared.add(i)
+    for i, (c, d, row) in enumerate(a):
+        if d != 1:
+            q = M // d
+            x = coefficients(M, a[i + 1:], [q * v % M for v in row])
+            rels.append([0] * i + [q] + [-v % M for v in x])
+    if shared:
+        keep = [i for i in range(len(a)) if i not in shared]
+        rels = [[rel[i] for i in keep] for rel in rels]
+    return len(a) - len(shared), rels
 
-    Classic pivoting algorithm: move a smallest nonzero entry to the corner,
-    clear its row and column, restore the divisibility chain, recurse.
+
+def smith_invariants(modulus: int, rels: Sequence[Sequence[int]],
+                     width: int) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (all > 1) of Z_M^width / span(rels).
+
+    Smith over Z_M: each step takes an entry with the least gcd with M as its
+    pivot, scales its row by a unit to that gcd, and clears the pivot's row
+    and column, with a determinant-1 ``_gcdex`` step wherever the pivot does
+    not divide an entry; every entry stays in [0, M).  A diagonal entry d
+    gives the cyclic factor Z_d (d divides M), each column left without a
+    pivot gives Z_M, and a gcd/lcm pass turns those factors into invariant
+    factors.
     """
-    a = [row[:] for row in mat]
-    n = len(a)
-    diag: list[int] = []
-    top = 0
-    while top < n:
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            diag.extend(0 for _ in range(n - top))
-            break
-        i, j = best
-        a[top], a[i] = a[i], a[top]
-        for row in a:
-            row[top], row[j] = row[j], row[top]
-        dirty = False
-        for i in range(top + 1, n):
-            q = a[i][top] // a[top][top]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-            if a[i][top]:
-                dirty = True
-        for j in range(top + 1, n):
-            q = a[top][j] // a[top][top]
-            if q:
-                for row in a:
-                    row[j] -= q * row[top]
-            if a[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry; if not, fold the offending
-        # row into the pivot row and redo this corner
-        p = a[top][top]
-        offender = None
-        for i in range(top + 1, n):
-            for j in range(top + 1, n):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
+    M = modulus
+    a = [row for row in ([x % M for x in r] for r in rels) if any(row)]
+    cols = width
+    orders = []
+    while a:
+        best, pi, pj = M, 0, 0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if x:
+                    g = gcd(x, M)
+                    if g < best:
+                        best, pi, pj = g, i, j
+            if best == 1:
                 break
-        if offender is not None:
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
-            continue
-        diag.append(abs(p))
-        top += 1
-    return diag
+        a[0], a[pi] = a[pi], a[0]
+        d, u = _unit_lifting(a[0][pj], M)
+        top = a[0] = [u * x % M for x in a[0]] if u != 1 else a[0]
+        while True:
+            # clear the pivot's column with row operations
+            for i in range(1, len(a)):
+                y = a[i][pj]
+                if not y:
+                    continue
+                if y % d:
+                    d, s, t, u, v = _gcdex(d, y)
+                    row = a[i]
+                    top, a[i] = ([(s * x + t * z) % M for x, z in zip(top, row)],
+                                 [(u * x + v * z) % M for x, z in zip(top, row)])
+                    a[0] = top
+                else:
+                    q = y // d
+                    a[i] = [(z - q * x) % M for x, z in zip(top, a[i])]
+            # then its row with column operations, which may refill the column
+            dirty = False
+            for j in range(cols):
+                y = top[j]
+                if j == pj or not y:
+                    continue
+                if y % d:
+                    d, s, t, u, v = _gcdex(d, y)
+                    for row in a:
+                        x, z = row[pj], row[j]
+                        row[pj], row[j] = (s * x + t * z) % M, (u * x + v * z) % M
+                    dirty = True
+                elif dirty:
+                    q = y // d
+                    for row in a:
+                        row[j] = (row[j] - q * row[pj]) % M
+                else:  # the pivot is alone in its column
+                    top[j] = 0
+            if not dirty or not any(row[pj] for row in a[1:]):
+                break
+        orders.append(d)
+        cols -= 1
+        a = [row[:pj] + row[pj + 1:] for row in a[1:]]
+        a = [row for row in a if any(row)]
+    orders += [M] * cols
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            x, y = orders[i], orders[j]
+            g = gcd(x, y)
+            orders[i], orders[j] = g, x // g * y
+    return tuple(d for d in orders if d > 1)
 
 
 def lattice_quotient_invariants(modulus: int, ambient: int,
                                 a_rows: Sequence[Sequence[int]],
                                 b_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors of L_A / L_B, where L_X = span_Z(X) + M*Z^ambient.
-
-    Both row sets must be Howell forms over Z_M (see ``lifted_howell_basis``).
-    Requires span(b) <= span(a) over Z_M, which makes L_B <= L_A: a row of
-    b outside it fails the lattice solve with ``ValueError``.
-
-    Row c of the change of basis H_B H_A^{-1} is the unit vector e_c wherever
-    the two lifted bases share row c; row operations with it clear column c
-    from every other row, so it splits off a factor 1 with that column, and
-    only the block on the rows where the bases differ goes to Smith.
-    """
-    ha = lifted_howell_basis(modulus, ambient, a_rows)
-    hb = lifted_howell_basis(modulus, ambient, b_rows)
-    differ = [c for c in range(ambient) if ha[c] != hb[c]]
-    block = [[x[c] for c in differ]
-             for x in (solve_upper_triangular(ha, hb[r]) for r in differ)]
-    factors = [d for d in smith_diagonal(block) if d > 1]
-    for small, big in zip(factors, factors[1:]):
-        if big % small:
-            raise AssertionError(f"broken divisor chain {factors}")
-    return tuple(factors)
+    """Invariant factors of A/B, for Howell forms ``a_rows`` of A and
+    ``b_rows`` of B <= A in (Z_M)^ambient: one Smith step over Z_M on the
+    relations of ``quotient_relations``.  A row of B outside A raises
+    ``ValueError``."""
+    width, rels = quotient_relations(modulus, a_rows, b_rows)
+    return smith_invariants(modulus, rels, width)

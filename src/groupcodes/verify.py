@@ -275,7 +275,10 @@ def l_finite_l_controllable(code: GroupCode, level: int) -> dict | None:
 
 
 def chain_granule_consistency(code: GroupCode, k: int, level: int) -> dict | None:
-    """Chain quotients equal their granules wherever the intervals fit."""
+    """Chain quotients equal their granules wherever the intervals fit.  The
+    last-output chain and ``controller_granule`` are read off the same span
+    profile rows, so its quotients meet the shorten route of
+    ``controller_granule_on``."""
     report = dynamics.output_chains(code, k, level)
     ok = True
     for j in range(0, level + 1):
@@ -283,7 +286,8 @@ def chain_granule_consistency(code: GroupCode, k: int, level: int) -> dict | Non
             ok &= report.first_quotients[j] == dynamics.controller_granule(code, k, j)
             ok &= report.observer_granules[j] == dynamics.observer_granule(code, k, j)
         if k - j >= 0:
-            ok &= report.last_quotients[j] == dynamics.controller_granule(code, k - j, j)
+            ok &= (report.last_quotients[j]
+                   == dynamics.controller_granule_on(code, Interval(k - j, k)))
             if j >= 1:
                 ok &= (report.dual_first_quotients[j - 1]
                        == dynamics.observer_granule(code, k - j, j))

@@ -1,4 +1,4 @@
-"""Integer normal forms behind the quotient-invariant computation."""
+"""The coefficient step and the Smith step over Z_M behind quotient invariants."""
 
 import random
 from math import prod
@@ -8,60 +8,72 @@ import pytest
 from groupcodes import residues, snf
 
 
-def test_hermite_solve_roundtrip():
-    # the Howell form lifted to Z is the Hermite basis of span_Z + M*Z^n
+def test_coefficients_roundtrip():
+    # greedy reduction against a Howell basis finds the coefficients of every
+    # element of its span, and rejects every row outside it
     rng = random.Random(5)
+    outside = 0
     for M in (2, 4, 6, 9, 12, 36, 2**64 + 13):
         for _ in range(12):
             n = rng.randint(1, 4)
             rows = [[rng.randrange(M) for _ in range(n)]
                     for _ in range(rng.randint(0, n + 1))]
             h = residues.Subgroup.span(M, rows, n)
-            howell = [list(map(int, r)) for r in h.basis]
-            basis = snf.lifted_howell_basis(M, n, howell)
-            assert all(basis[i][j] == 0 for i in range(n) for j in range(i))
-            assert prod(basis[i][i] for i in range(n)) == M ** n // h.order()
-            m_block = [[M if i == j else 0 for j in range(n)] for i in range(n)]
-            for row in howell + m_block:
-                x = snf.solve_upper_triangular(basis, row)
-                back = [sum(x[i] * basis[i][j] for i in range(n)) for j in range(n)]
-                assert back == row
+            howell = snf.pivoted(h.basis)
+            for _ in range(4):
+                c = [rng.randrange(M) for _ in h.basis]
+                combo = [sum(ci * row[j] for ci, row in zip(c, h.basis)) % M
+                         for j in range(n)]
+                x = snf.coefficients(M, howell, combo)
+                assert all(0 <= xi < M for xi in x)
+                back = [sum(xi * row[j] for xi, row in zip(x, h.basis)) % M
+                        for j in range(n)]
+                assert back == combo
+            row = [rng.randrange(M) for _ in range(n)]
+            if not h.contains(row):
+                outside += 1
+                with pytest.raises(ValueError):
+                    snf.coefficients(M, howell, row)
+    assert outside
 
 
 def test_smith_diagonal_known_values():
-    assert snf.smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert snf.smith_diagonal([[4, 0], [0, 2]]) == [2, 4]
-    assert snf.smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
-    # 2x2 with nontrivial mixing: [[2, 4], [4, 2]] ~ diag(2, 6)
-    assert snf.smith_diagonal([[2, 4], [4, 2]]) == [2, 6]
+    S = snf.smith_invariants
+    assert S(6, [[2, 0], [0, 3]], 2) == (6,)  # Z_2 x Z_3, not local
+    assert S(4, [[2, 0], [0, 0]], 2) == (2, 4)
+    assert S(4, [[1, 0], [0, 1]], 2) == ()
+    assert S(4, [], 2) == (4, 4)
+    assert S(12, [[2, 4], [4, 2]], 2) == (2, 6)  # diag(2, 6) over Z, 6 | 12
+    assert S(8, [[4, 2]], 2) == (2, 8)
+    assert S(36, [[6, 4], [9, 0]], 2) == (36,)  # determinant 36, entries coprime
 
 
 def test_smith_divisor_chain_random():
+    # Z_M^n / span(R) is Z^n / (span(R) + M Z^n): sympy's Smith form of R
+    # stacked on M*I over Z gives its invariants
+    try:
+        import sympy
+        from sympy.matrices.normalforms import smith_normal_form
+    except ImportError:
+        sympy = None
     rng = random.Random(11)
-    for _ in range(60):
+    for _ in range(80):
+        M = rng.choice((2, 4, 6, 8, 9, 12, 30, 36, 2**64 + 13))
         n = rng.randint(1, 4)
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        diag = snf.smith_diagonal(mat)
-        nonzero = [d for d in diag if d]
-        for a, b in zip(nonzero, nonzero[1:]):
+        rels = [[rng.choice((0, rng.randrange(M), rng.randrange(1, 7)))
+                 for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        got = snf.smith_invariants(M, rels, n)
+        for a, b in zip(got, got[1:]):
             assert b % a == 0
-        # determinant preserved up to sign
-        det = _det(mat)
-        prodd = 1
-        for d in diag:
-            prodd *= d
-        assert abs(det) == prodd
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det(minor)
-    return total
+        assert prod(got) == M ** n // residues.Subgroup.span(M, rels, n).order()
+        if sympy is None:
+            continue
+        stacked = sympy.Matrix(rels + [[M * (i == j) for j in range(n)]
+                                       for i in range(n)])
+        smith = smith_normal_form(stacked, domain=sympy.ZZ)
+        expected = tuple(sorted(abs(int(smith[i, i])) for i in range(n)
+                                if abs(smith[i, i]) > 1))
+        assert got == expected
 
 
 def test_lattice_quotient_invariants():
@@ -72,11 +84,18 @@ def test_lattice_quotient_invariants():
     assert snf.lattice_quotient_invariants(4, 1, [[2]], [[2]]) == ()
 
 
+def _lifted(M, n, rows):
+    """Hermite basis of span_Z(rows) + M*Z^n, for a Howell form ``rows``:
+    each Howell row at its pivot column, M*e_c at every other column."""
+    by_pivot = {next(c for c, x in enumerate(row) if x): list(row) for row in rows}
+    return [by_pivot.get(c) or [M * (i == c) for i in range(n)] for c in range(n)]
+
+
 @pytest.mark.parametrize("modulus", [4, 12, 2**64 + 13, 2**70])
 def test_quotient_invariants_match_sympy_smith(modulus):
-    # B is spanned by whole-row multiples of A's Howell rows, so most lifted
-    # rows are shared and only the differing ones reach the Smith step; sympy
-    # takes the full change of basis H_B H_A^{-1}, inverted exactly over Q
+    # B is spanned by whole-row multiples of A's Howell rows, so many rows are
+    # shared and drop out of the Smith step; sympy takes the full change of
+    # basis H_B H_A^{-1} of the lifted lattices, inverted exactly over Q
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
     rng = random.Random(modulus)
@@ -89,8 +108,7 @@ def test_quotient_invariants_match_sympy_smith(modulus):
         scales = [rng.choice((1, 1, 0, rng.randrange(M))) for _ in a.basis]
         b = residues.Subgroup.span(M, [[c * x for x in row]
                                        for c, row in zip(scales, a.basis)], n)
-        ha = snf.lifted_howell_basis(M, n, a.basis)
-        hb = snf.lifted_howell_basis(M, n, b.basis)
+        ha, hb = _lifted(M, n, a.basis), _lifted(M, n, b.basis)
         same = sum(ra == rb for ra, rb in zip(ha, hb))
         shared += same
         differing += n - same

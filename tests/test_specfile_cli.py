@@ -191,7 +191,11 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
             (oracle + ["order", "--cap", "0"], "--cap"),
             (oracle + ["state-count", "--cut", "99"], "--cut"),
             (oracle + ["state-count", "--cut", "9"], "--cut"),
-            (oracle + ["state-count", "--cut", "-1"], "--cut")):
+            (oracle + ["state-count", "--cut", "-1"], "--cut"),
+            (["analyze", rate13_file, "--cut", "0"], "--cut"),
+            (["analyze", rate13_file, "--cut", "12"], "--cut"),
+            (["analyze", rate13_file, "--margin", "-1"], "--margin"),
+            (["analyze", rate13_file, "--margin", "7"], "--margin")):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", argv

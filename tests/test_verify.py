@@ -82,9 +82,9 @@ def _planted_faults():
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, verify.window_supercode, dyn.span_profile,
         dyn.observer_granule_on)
-    ending, cut_rows, step_table, state_at, skips, chains = (
+    ending, cut_rows, step_table, state_at, chain_pass, chains = (
         dyn.ending_symbols, dyn.cut_rows, mc._step_table,
-        dyn.state_at, dyn._chain_skips, dyn.output_chains)
+        dyn.state_at, dyn._chain_pass, dyn.output_chains)
     orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
                                       dyn._cut_heads, R.IncrementalHowell.insert)
     subcode_ends, window_ends = dyn.subcode_ends, dyn.window_ends
@@ -153,16 +153,22 @@ def _planted_faults():
 
     def phi0_off_input(code, k, max_level=None):  # Phi_{[k,k]} as G_k / F_k
         report = chains(code, k, max_level)
-        return dataclasses.replace(report, observer_granules=(
-            report.syndrome_group, *report.observer_granules[1:]))
+        # a cached property: the frozen report keeps it in its __dict__
+        vars(report)["observer_granules"] = (report.syndrome_group,
+                                             *report.observer_granules[1:])
+        return report
 
-    def short_smith(modulus, ambient, a_rows, b_rows):  # last differing row dropped
-        ha = snf.lifted_howell_basis(modulus, ambient, a_rows)
-        hb = snf.lifted_howell_basis(modulus, ambient, b_rows)
-        differ = [c for c in range(ambient) if ha[c] != hb[c]][:-1]
-        block = [[x[c] for c in differ]
-                 for x in (snf.solve_upper_triangular(ha, hb[r]) for r in differ)]
-        return tuple(d for d in snf.smith_diagonal(block) if d > 1)
+    def short_first(code, k, max_level=None):  # F_{j,k} read one level short
+        report = chains(code, k, max_level)
+        first = report.first_output
+        return dataclasses.replace(report, first_output=first[:1] + first[:-1])
+
+    def short_future(code, k, order, cap):  # the L^ window pass one time short
+        return chain_pass(code, k, order[:-1] if order and order[0] > k else order, cap)
+
+    def short_smith(modulus, ambient, a_rows, b_rows):  # last relation row dropped
+        width, rels = snf.quotient_relations(modulus, a_rows, b_rows)
+        return snf.smith_invariants(modulus, rels[:-1], width)
 
     return [
         (verify, "state_space", lambda code, times: ss(code, _rotated(code, times)),
@@ -191,9 +197,8 @@ def _planted_faults():
         (dyn, "state_at",  # the cut read one time late
          lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
          "state-size-factorization"),
-        (dyn, "_chain_skips",  # L^{j,k} one level short
-         lambda before, after, j: skips(before, after, j)[:3] + (min(max(j - 1, 0), after),),
-         "chain-granule-consistency"),
+        (dyn, "output_chains", short_first, "chain-granule-consistency"),
+        (dyn, "_chain_pass", short_future, "chain-granule-consistency"),
         (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
         (dyn, "cut_rows", long_reducers, "machine-roundtrip"),
         (mc, "_step_table", short_table, "machine-roundtrip"),
