@@ -43,6 +43,8 @@ def _analysis(loaded: specfile.LoadedCode, cut: int | None,
     code = loaded.code
     n = code.layout.axis_len
     k = n // 2 if cut is None else cut
+    if n < 2:
+        raise specfile.SpecFileError("an axis of one time has no interior cut")
     # a value from a flag names the flag; one from the spec file keeps the
     # spec file's terms
     if not 1 <= k <= n - 1:

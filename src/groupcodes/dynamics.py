@@ -11,10 +11,10 @@ restriction, evaluated exactly:
   first/last-output chains with their syndrome groups.
 
 Each number has one route, its cheapest exact one.  A pass over the code's
-basis is one ``codes.pivot_rows`` pass with the times in a chosen order, and
-each nested family of subcodes or windows is one sweep of
-``residues.IncrementalHowell`` inserts, cached per code, rather than one pass
-per member:
+basis that hands on whole rows is one ``codes.pivot_rows`` pass with the
+times in a chosen order, and each nested family of subcodes or windows is
+one sweep of ``residues.IncrementalHowell`` inserts, cached per code, rather
+than one pass per member:
 
 * ``span_profile`` grows the trellis-oriented (minimal-span) rows of
   C_{:[k,N)} for k = N-1 down to 0, with the times reversed, keeping each
@@ -30,10 +30,13 @@ per member:
   ``window_ends`` (Y([a,b]), the block-b symbols of the words of C_{|[a,b]}
   that vanish on [a,b)) is the block-b parts of the rows of C_{|[a,N)} that
   pivot in block b.
-* ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
-  the Howell rows of every prefix subcode C_{:[0,k)}; stacked over the code's
-  basis rows from block k on, they are the kernel of the state map, held as
-  tails (``cut_rows``) or written out (``cut_sum``).
+* The kernel of the state map at cut k is D_k = C_{:[0,k)} + C_{:[k,N)}.
+  The state at one cut (``state_at``) reads rows that generate it: the
+  start-0 profile rows that end before time k, and the code's basis rows
+  from block k on.  The machines want every cut, each as a Howell form:
+  ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
+  the Howell rows of every prefix subcode C_{:[0,k)}, and ``cut_rows``
+  stacks them over those basis rows, as tails.
 
 Each interval test compares orders: a sum of two shortenings inside a third
 group is all of it exactly when the orders say so, because the two meet in a
@@ -51,9 +54,11 @@ and its two passes, ``ending_symbols``).  F_k is read off the code's basis.
 Of the four output chains at time k, the first- and last-output chains are
 read off ``span_profile``, and the two dual chains off one window pass each,
 over the times on one side of k up to the chain's top level and no further;
-each pass nests all its levels, which one run of inserts reads off from the
-last level up.  The chains' successive quotients are the granules
-Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``).
+each pass nests all its levels, and its rows, read unreduced, since only
+their block-k parts are wanted, give every level in one run of inserts from
+the last level up.  The chains' successive quotients are the granules
+Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``), which
+builds the last-output chain and the dual first-output chain only when read.
 
 The definitional routes that the theorems equate with these live in
 ``verify``, each in the theorem that compares it: the state space at any cut
@@ -81,7 +86,7 @@ from math import prod
 from operator import mul
 from typing import Iterable, Iterator
 
-from . import residues
+from . import residues, snf
 from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
                     lift_restriction, pivot_rows, restriction, shorten)
 from .residues import Pivoted, Row, Subgroup, quotient_invariants
@@ -111,10 +116,22 @@ class StateSpaceReport:
 
 
 def state_at(code: GroupCode, k: int) -> StateSpaceReport:
-    """State space at the cut before time k: C / ``cut_sum(code, k)``."""
-    if not 1 <= k <= code.layout.axis_len - 1:
-        raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1")
-    return StateSpaceReport(quotient_invariants(code.carrier, cut_sum(code, k)))
+    """State space at the cut before time k: C / (C_{:[0,k)} + C_{:[k,N)}).
+
+    ``snf`` needs the denominator only as rows that generate it inside C.
+    The start-0 ``span_profile`` rows that end before time k span
+    C_{:[0,k)}, and the code's basis rows that pivot from block k on span
+    C_{:[k,N)}; those are rows of C's Howell form, so each drops out of the
+    Smith step with its generator.
+    """
+    N = code.layout.axis_len
+    if not 1 <= k <= N - 1:
+        raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1, with N = {N}")
+    carrier, s = code.carrier, code.layout.starts[k]
+    past = [row for ending in span_profile(code)[0][:k] for _, _, row in ending]
+    future = [row for (c, _), row in zip(carrier.pivots, carrier.basis) if c >= s]
+    return StateSpaceReport(snf.lattice_quotient_invariants(
+        code.layout.modulus, carrier.basis, past + future))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +315,6 @@ def cut_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
         raise ValueError(f"cut {k} outside 0..{N}")
     s = code.layout.starts[k]
     return [*_cut_heads(code)[k], *(t for t in code.carrier.tails if t[0] >= s)]
-
-
-def cut_sum(code: GroupCode, k: int) -> Subgroup:
-    """C_{:[0,k)} + C_{:[k,N)}, the rows of ``cut_rows`` written out."""
-    n = code.layout.total_dim
-    return Subgroup(code.layout.modulus, n, residues.written_out(cut_rows(code, k), n))
 
 
 @lru_cache(maxsize=4096)
@@ -524,19 +535,34 @@ def observability_index(code: GroupCode, interior_margin: int = 0) -> int | None
 @dataclass(frozen=True)
 class ChainReport:
     """First/last-output chains at one time and their dual chains.  The
-    successive quotients (which match granules) and the syndrome group are
-    computed on first read."""
+    first-output chain F and the dual last-output chain L^, which the
+    controller and observer granules read, are built with the report; the
+    last-output chain L, the dual first-output chain F^, the successive
+    quotients (which match granules) and the syndrome group are computed on
+    first read."""
 
     code: GroupCode = field(repr=False, compare=False)
     time: int
     first_output: tuple[Subgroup, ...]       # F_{j,k}, j = 0..L
-    last_output: tuple[Subgroup, ...]        # L_{j,k}
-    dual_first: tuple[Subgroup, ...]         # F^{j,k}, j = 0..L
     dual_last: tuple[Subgroup, ...]          # L^{j,k}
 
     @property
     def levels(self) -> int:
         return len(self.first_output) - 1
+
+    @cached_property
+    def last_output(self) -> tuple[Subgroup, ...]:  # L_{j,k}
+        # the block-k parts of the profile rows of start max(k-j, 0) that end at k
+        k, profile = self.time, span_profile(self.code)
+        return tuple(_block_group(self.code.layout, k, [(c, d, row[c:]) for c, d, row in
+                                                        profile[max(k - j, 0)][k]])
+                     for j in range(self.levels + 1))
+
+    @cached_property
+    def dual_first(self) -> tuple[Subgroup, ...]:  # F^{j,k}, j = 0..L
+        # Y([k-j, k]): one window pass over the times k-1 down to k-L
+        k, cap = self.time, self.levels
+        return _chain_pass(self.code, k, [*range(k - 1, max(k - cap, 0) - 1, -1)], cap)
 
     @cached_property
     def first_quotients(self) -> tuple[Invariants, ...]:  # F_j/F_{j-1} ~ Gamma_{[k,k+j]}
@@ -580,19 +606,35 @@ def _successive_quotients(chain: tuple[Subgroup, ...]) -> tuple[Invariants, ...]
 def _chain_pass(code: GroupCode, k: int, order: list[int],
                 cap: int) -> tuple[Subgroup, ...]:
     """Levels j = 0..cap: the block-k symbols of the codewords that vanish on
-    the first min(j, len(order)) times of ``order``, with len(order) <= cap,
-    from one ``pivot_rows`` pass over the times of ``order`` and k, with k
-    last: the block-k parts of the rows that pivot past those times span
-    level j, and the levels nest, so one run of inserts from the last row up
-    gives every level."""
-    block, M = code.layout.block(k), code.layout.modulus
-    rows = pivot_rows(code.layout, code.carrier.basis, [*order, k])
-    form = residues.IncrementalHowell(M, len(block))
+    the first min(j, len(order)) times of ``order``, with len(order) <= cap.
+
+    One ``IncrementalHowell`` pass over the code's basis rows cut down to the
+    columns of the times of ``order`` and then k.  The Howell property holds
+    after every insert, so the pass's rows that pivot past the first q times
+    span the words that vanish on them, and their block-k parts span level q;
+    ``drop`` hands the rows over as they stand, neither back-reduced nor
+    written out.  The levels nest, so one run of inserts of those parts into
+    a form of block k's width, from the last row up and read after each
+    level, makes every level canonical.
+    """
+    starts, M, w = code.layout.starts, code.layout.modulus, code.layout.widths[k]
+    cols, stops = [], [0]  # stops[q]: the pass's columns of the first q times
+    for t in order:
+        cols += range(starts[t], starts[t + 1])
+        stops.append(len(cols))
+    head = len(cols)  # block k's first column in the pass
+    cols += range(starts[k], starts[k + 1])
+    sweep = residues.IncrementalHowell(M, len(cols))
+    for row in code.carrier.basis:
+        sweep.insert([row[c] for c in cols])
+    rows = sweep.drop(len(cols))
+    form = residues.IncrementalHowell(M, w)
     levels = []
-    for q in reversed(range(len(order) + 1)):
-        while rows and rows[-1][0] >= q:
-            form.insert(rows.pop()[3][block.start:block.stop])
-        levels.append(Subgroup(M, len(block), residues.written_out(form.rows(), len(block))))
+    for stop in reversed(stops):
+        while rows and rows[-1][0] >= stop:
+            p, tail = rows.pop()
+            form.insert(tail[max(head - p, 0):], max(p - head, 0))
+        levels.append(Subgroup(M, w, residues.written_out(form.rows(), w)))
     return tuple(levels[-1 - min(j, len(order))] for j in range(cap + 1))
 
 
@@ -619,7 +661,8 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     max(k-j, 0) that end at k.  F^{j,k}, the block-k symbols of the codewords
     that vanish on [k-j, k), is Y([k-j, k]), which depends only on
     C_{|[k-cap,k]}: one ``_chain_pass`` over the times k-1 down to k-cap.
-    L^{j,k} is its mirror, one pass over the times k+1 up to k+cap.
+    L^{j,k} is its mirror, one pass over the times k+1 up to k+cap.  L and
+    F^ are built on first read (``ChainReport``).
     """
     layout = code.layout
     N, M = layout.axis_len, layout.modulus
@@ -638,10 +681,6 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
         for _, _, row in profile[k][k + j]:
             form.insert(row[block.start:block.stop])
         first.append(Subgroup(M, len(block), residues.written_out(form.rows(), len(block))))
-    last = tuple(_block_group(layout, k, [(c, d, row[c:]) for c, d, row in
-                                          profile[max(k - j, 0)][k]])
-                 for j in range(cap + 1))
     return ChainReport(
-        code=code, time=k, first_output=tuple(first), last_output=last,
-        dual_first=_chain_pass(code, k, [*range(k - 1, max(k - cap, 0) - 1, -1)], cap),
+        code=code, time=k, first_output=tuple(first),
         dual_last=_chain_pass(code, k, [*range(k + 1, min(k + cap, N - 1) + 1)], cap))

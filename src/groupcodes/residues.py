@@ -435,7 +435,7 @@ def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     it.  Unit factors are dropped, so the trivial group is ().
     """
     a._check_compatible(b)
-    return lattice_quotient_invariants(a.modulus, a.ambient, a.basis, b.basis)
+    return lattice_quotient_invariants(a.modulus, a.basis, b.basis)
 
 
 def invariants(h: Subgroup) -> tuple[int, ...]:

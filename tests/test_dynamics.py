@@ -52,8 +52,9 @@ def test_state_space_rejects_degenerate_cuts(rep6):
         verify.state_space(rep6, frozenset())
     with pytest.raises(ValueError):
         verify.state_space(rep6, rep6.layout.full_subset())
-    with pytest.raises(ValueError):
-        dyn.state_at(rep6, 0)
+    for k in (0, 6):
+        with pytest.raises(ValueError, match=f"cut {k} .* N = 6"):
+            dyn.state_at(rep6, k)
     for k in (-1, 7):  # the cut rows exist at cuts 0..N only
         with pytest.raises(ValueError, match=f"cut {k}"):
             dyn.cut_rows(rep6, k)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from groupcodes import dynamics
 from groupcodes.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +52,17 @@ def test_cli_output_matches_golden(spec, output, tmp_path):
     word = tmp_path / "word.json"
     _write_word(spec, word)
     assert _run(spec, output, word) == (GOLDEN / f"{spec}.{output}").read_text()
+
+
+def test_analyze_builds_no_cut_sweep(monkeypatch, tmp_path):
+    # analyze reads one cut: its state comes off the span profile, not off
+    # the every-cut sweep that the machines use
+    def every_cut(code):
+        raise AssertionError("analyze swept every cut")
+
+    monkeypatch.setattr(dynamics, "_cut_heads", every_cut)
+    assert _run("rate13", "analyze.json", tmp_path / "word.json") == \
+        (GOLDEN / "rate13.analyze.json").read_text()
 
 
 if __name__ == "__main__":

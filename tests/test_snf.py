@@ -79,9 +79,42 @@ def test_smith_divisor_chain_random():
 def test_lattice_quotient_invariants():
     # (Z4)^2 / <(2,0),(0,2)> = Z2 x Z2
     assert snf.lattice_quotient_invariants(
-        4, 2, [[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (2, 2)
+        4, [[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (2, 2)
     # trivial quotient
-    assert snf.lattice_quotient_invariants(4, 1, [[2]], [[2]]) == ()
+    assert snf.lattice_quotient_invariants(4, [[2]], [[2]]) == ()
+
+
+def test_quotient_invariants_take_any_generating_set_of_b():
+    # B may be given by any rows that generate it inside A: repeats, zero
+    # rows and rows of A's own Howell form, in any order, give the invariants
+    # that B's Howell form gives; a row outside A still raises
+    rng = random.Random(17)
+    shared = outside = 0
+    for M in (2, 4, 6, 9, 12, 36, 2**64 + 13):
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            a = residues.Subgroup.span(M, [[rng.randrange(M) for _ in range(n)]
+                                           for _ in range(rng.randint(1, n + 1))], n)
+            combos = []
+            for _ in range(rng.randint(0, 3)):
+                c = [rng.randrange(M) for _ in a.basis]
+                combos.append(tuple(sum(ci * row[j] for ci, row in zip(c, a.basis)) % M
+                                    for j in range(n)))
+            own = [row for row in a.basis if rng.random() < 0.4]
+            shared += len(own)
+            gens = combos + own + rng.choices(combos + own, k=2 * bool(combos + own))
+            gens += [(0,) * n] * 2
+            rng.shuffle(gens)
+            b = residues.Subgroup.span(M, gens, n)
+            got = snf.lattice_quotient_invariants(M, a.basis, gens)
+            assert got == snf.lattice_quotient_invariants(M, a.basis, b.basis)
+            assert prod(got) == a.order() // b.order()
+            row = tuple(rng.randrange(M) for _ in range(n))
+            if not a.contains(row):
+                outside += 1
+                with pytest.raises(ValueError):
+                    snf.lattice_quotient_invariants(M, a.basis, gens + [row])
+    assert shared and outside
 
 
 def _lifted(M, n, rows):
@@ -117,7 +150,7 @@ def test_quotient_invariants_match_sympy_smith(modulus):
         smith = smith_normal_form(change, domain=sympy.ZZ)
         expected = tuple(sorted(abs(int(smith[i, i])) for i in range(n)
                                 if abs(smith[i, i]) > 1))
-        got = snf.lattice_quotient_invariants(M, n, a.basis, b.basis)
+        got = snf.lattice_quotient_invariants(M, a.basis, b.basis)
         assert got == expected
         assert prod(got) == a.order() // b.order()
     assert shared and differing

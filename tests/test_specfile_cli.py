@@ -199,6 +199,17 @@ def test_cli_exit_codes(tmp_path, capsys, rate13_file, pairs_file):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", argv
+    # an axis of one time, explicit or a one-time window, has no cut to analyze
+    for name, spec in (("one.code", {"kind": "explicit", "modulus": 4, "axis": 1,
+                                     "generators": [[1]]}),
+                       ("window1.code", {"format_version": 1, "kind": "convolutional",
+                                         "modulus": 4, "width": 1,
+                                         "generators": [[[1]]], "window": 1})):
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        assert main(["analyze", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert "no interior cut" in captured.err and captured.out == "", name
     for cut in ("0", "8"):  # the cuts at the ends of the axis stay accepted
         assert main(oracle + ["state-count", "--cut", cut]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 1

@@ -119,6 +119,14 @@ def _planted_faults():
         out = heads(code)
         return out[:1] + out[:-1]
 
+    def short_state_past(code, k):  # the state's past rows: those that end before k-1
+        lay, carrier = code.layout, code.carrier
+        past = [row for ending in profile(code)[0][:k - 1] for _, _, row in ending]
+        future = [row for (c, _), row in zip(carrier.pivots, carrier.basis)
+                  if c >= lay.starts[k]]
+        return dyn.StateSpaceReport(snf.lattice_quotient_invariants(
+            lay.modulus, carrier.basis, past + future))
+
     def long_intervals(code):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
         return tuple(row[1:] + row[-1:] for row in orders(code))
 
@@ -166,7 +174,7 @@ def _planted_faults():
     def short_future(code, k, order, cap):  # the L^ window pass one time short
         return chain_pass(code, k, order[:-1] if order and order[0] > k else order, cap)
 
-    def short_smith(modulus, ambient, a_rows, b_rows):  # last relation row dropped
+    def short_smith(modulus, a_rows, b_rows):  # last relation row dropped
         width, rels = snf.quotient_relations(modulus, a_rows, b_rows)
         return snf.smith_invariants(modulus, rels[:-1], width)
 
@@ -189,7 +197,7 @@ def _planted_faults():
         (dyn, "subcode_ends", late_start(subcode_ends), "granule-factorization"),
         (dyn, "window_ends", late_start(window_ends), "granule-factorization"),
         (dyn, "controllable_on", long_overlap, "interval-test-equivalence"),
-        (dyn, "_cut_heads", short_past, "state-size-factorization"),
+        (dyn, "_cut_heads", short_past, "machine-roundtrip"),
         (dyn, "interval_orders", long_intervals, "interval-test-equivalence"),
         (dyn, "window_orders", short_windows, "interval-test-equivalence"),
         (R.IncrementalHowell, "insert", pivot_growth, "machine-roundtrip"),
@@ -197,6 +205,7 @@ def _planted_faults():
         (dyn, "state_at",  # the cut read one time late
          lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
          "state-size-factorization"),
+        (dyn, "state_at", short_state_past, "state-size-factorization"),
         (dyn, "output_chains", short_first, "chain-granule-consistency"),
         (dyn, "_chain_pass", short_future, "chain-granule-consistency"),
         (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
