@@ -7,12 +7,14 @@ conditioned codes.
 
 Each operation is one Howell projection of one matrix.  A code's basis is a
 tuple of int tuples, and ``residues.howell_pass`` gives each Howell row with
-its pivot.  Restrictions, sums (``lift_restriction`` = C + W_{I-J},
-``cut_product``) and the dual are one pass each.  ``pivot_rows`` is the one
-Howell pass over a code's basis with its times in a chosen order; ``shorten``
-and the nested shortenings of ``dynamics`` and ``machines`` are read off it.
-Conditioning keeps the rows of one pass that pivot past a leading column
-block, and intersections are one Zassenhaus pass.
+its pivot.  Restrictions, sums (``cut_product``) and the dual are one pass
+each.  ``pivot_rows`` is the one Howell pass over a code's basis with its
+times in a chosen order; ``shorten`` and the nested shortenings of
+``dynamics`` and ``machines`` are read off it.  Conditioning keeps the rows
+of one pass that pivot past a leading column block, and so does
+``lift_restriction``, the words that pass the checks of any number of
+windows (C + W_{I-J} for one window), with one leading block per window;
+intersections are one Zassenhaus pass.
 
 Conventions that matter elsewhere:
 
@@ -168,12 +170,42 @@ def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:
     return restriction(shorten(c, ts), ts)
 
 
-def lift_restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
-    """{w in W : w_{|J} in C_{|J}} = C + W_{I-J}, on the full layout."""
-    n = c.layout.total_dim
-    free = [[int(i == j) for j in range(n)]
-            for i in c.layout.coords(c.layout.complement(times))]
-    return _howell_code(c.layout, [*c.carrier.basis, *free])
+def lift_restriction(c: GroupCode, *windows: TimeSubset) -> GroupCode:
+    """{w in W : w_{|J} in C_{|J} for every window J}, on the full layout:
+    C + W_{I-J} for one window J, the whole space W for none.
+
+    One pass of width lead + n, where the leading columns hold one block per
+    window, a copy of that window's coordinates.  Block i takes the basis
+    rows of C restricted to J_i (its check rows, inserted first: their form
+    is block-diagonal), and each coordinate e gets the row with a 1 at e's
+    place in every block whose window holds e and a 1 at column lead + e.
+    The span holds (sum_i (w_{|J_i} - c_i), w) for words w and codewords
+    c_i, so its leading part vanishes exactly when every w_{|J_i} lies in
+    C_{|J_i}, and the rows that pivot past it span the answer.
+    """
+    layout, basis = c.layout, c.carrier.basis
+    M, n = layout.modulus, layout.total_dim
+    places: list[list[int]] = [[] for _ in range(n)]  # e -> its leading columns
+    checks, lead = [], 0
+    for times in windows:
+        idx = layout.coords(layout.subset(times))
+        checks += [(lead, [b[e] for e in idx]) for b in basis]
+        for j, e in enumerate(idx):
+            places[e].append(lead + j)
+        lead += len(idx)
+    form = residues.IncrementalHowell(M, lead + n)
+    for start, row in checks:
+        form.insert(row, start)
+    for e, cols in enumerate(places):
+        start = cols[0] if cols else lead + e
+        row = [0] * (lead + e + 1 - start)
+        for j in cols:
+            row[j - start] = 1
+        row[-1] = 1
+        form.insert(row, start)
+    form.drop(lead)
+    return GroupCode(layout, Subgroup(M, n, residues.written_out(
+        [(p - lead, d, tail) for p, d, tail in form.rows()], n)))
 
 
 def cut_product(c: GroupCode, times: TimeSubset) -> GroupCode:

@@ -62,8 +62,9 @@ builds the last-output chain and the dual first-output chain only when read.
 
 The definitional routes that the theorems equate with these live in
 ``verify``, each in the theorem that compares it: the state space at any cut
-and its four definitions, C^j as the words that pass every window's check,
-and Phi as C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few
+and its four definitions, C^j as the words that pass every window's check
+(one ``lift_restriction`` pass over all the windows), and Phi as
+C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few
 routes below, which stay here because ``perfbench/spans.py`` traces them by
 name: the granule functions, ``controllability_tests`` and
 ``observability_tests`` (each characterization on its own), and the memoized
@@ -82,13 +83,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import prod
 from operator import mul
 from typing import Iterable, Iterator
 
 from . import residues, snf
-from .codes import (GroupCode, code_equal, code_intersect, cut_product, dual,
-                    lift_restriction, pivot_rows, restriction, shorten)
+from .codes import (GroupCode, code_equal, cut_product, dual, lift_restriction,
+                    pivot_rows, restriction, shorten)
 from .residues import Pivoted, Row, Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout, TimeSubset
 
@@ -131,7 +131,7 @@ def state_at(code: GroupCode, k: int) -> StateSpaceReport:
     past = [row for ending in span_profile(code)[0][:k] for _, _, row in ending]
     future = [row for (c, _), row in zip(carrier.pivots, carrier.basis) if c >= s]
     return StateSpaceReport(snf.lattice_quotient_invariants(
-        code.layout.modulus, carrier.basis, past + future))
+        code.layout.modulus, carrier.howell, past + future))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,17 @@ def span_profile(code: GroupCode) -> tuple[tuple[tuple[Pivoted, ...], ...], ...]
 def interval_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
     """``interval_orders(code)[k][n]`` is |C_{:[k,n)}| for 0 <= k, n <= N
     (1 for n <= k): the product of M/pivot over the ``span_profile`` rows of
-    start k that end before time n."""
+    start k that end before time n, one running product per start."""
     M, N = code.layout.modulus, code.layout.axis_len
-    table = [(1,) * (N + 1)] * (N + 1)
+    table = []
     for k, by_end in enumerate(span_profile(code)):
-        at_time = [prod(M // d for _, d, _ in ending) for ending in by_end[k:]]
-        table[k] = (1,) * k + tuple(accumulate(at_time, mul, initial=1))
+        row, order = [1] * (k + 1), 1
+        for ending in by_end[k:]:
+            for _, d, _ in ending:
+                order *= M // d
+            row.append(order)
+        table.append(tuple(row))
+    table.append((1,) * (N + 1))
     return tuple(table)
 
 
@@ -348,15 +353,14 @@ def observable_supercode(code: GroupCode, level: int) -> GroupCode:
 
 def controller_granule_on(code: GroupCode, interval: Interval) -> Invariants:
     """Gamma over an interval (ordinary or end-around):
-    the quotient of the interval subcode by the two one-short subcodes."""
+    the quotient of the interval subcode by the two one-short subcodes, whose
+    basis rows together generate the denominator, as ``snf`` takes it."""
     times = interval.times(code.layout)
-    num = shorten(code, times)
-    if len(times) == 1:
-        den = Subgroup.trivial(code.layout.modulus, code.layout.total_dim)
-    else:
-        den = residues.add(shorten(code, times - {interval.hi}).carrier,
-                           shorten(code, times - {interval.lo}).carrier)
-    return quotient_invariants(num.carrier, den)
+    den = [] if len(times) == 1 else [
+        *shorten(code, times - {interval.hi}).carrier.basis,
+        *shorten(code, times - {interval.lo}).carrier.basis]
+    return snf.lattice_quotient_invariants(
+        code.layout.modulus, shorten(code, times).carrier.howell, den)
 
 
 def controller_granule(code: GroupCode, k: int, level: int) -> Invariants:
@@ -488,12 +492,13 @@ def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
     """Both [m, n)-observability characterizations, separately.
 
     ``window_lift`` (the definition): words that look like code before n and
-    after m are code.  ``shortened_product`` is ``observable_on``'s.
+    after m are code, one ``lift_restriction`` pass over the two windows.
+    ``shortened_product`` is ``observable_on``'s.
     """
     shortened_product = observable_on(code, m, n)
-    window_lift = code_equal(code, code_intersect(
-        lift_restriction(code, code.layout.subset(range(0, n))),
-        lift_restriction(code, code.layout.subset(range(m, code.layout.axis_len)))))
+    layout = code.layout
+    window_lift = code_equal(code, lift_restriction(
+        code, layout.subset(range(0, n)), layout.subset(range(m, layout.axis_len))))
     return {"window_lift": window_lift, "shortened_product": shortened_product}
 
 

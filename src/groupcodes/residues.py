@@ -90,14 +90,6 @@ def reduce_ints(modulus: int, tails: Tails, r: list[int]) -> list[int]:
     return r
 
 
-def _minus(M: int, a: Sequence[int], q: int, b: Sequence[int]) -> list[int]:
-    """a - q*b on two tails that start at one column, each zero past its end."""
-    n = len(b)
-    if len(a) >= n:
-        return [(x - q * y) % M for x, y in zip(a, b)] + list(a[n:])
-    return [(x - q * y) % M for x, y in zip(a, b)] + [-q * y % M for y in b[len(a):]]
-
-
 class IncrementalHowell:
     """A Howell form of (Z_M)^width grown one row at a time.
 
@@ -110,9 +102,11 @@ class IncrementalHowell:
     every insert and membership, pivots and ``order`` are exact throughout.
     Entries above the pivots are reduced only when ``rows`` reads the form,
     and then only for the rows at or above one that changed since the last
-    read.  Tails are never changed in place, so a list that ``rows`` returned
-    stays valid.  Howell forms are canonical: ``rows`` after any sequence of
-    inserts is the Howell form of the rows inserted.
+    read.  A list that ``rows`` or ``drop`` has handed out is never changed:
+    ``insert`` never writes into a placed tail (nor into the caller's row),
+    and ``rows`` copies a tail before it reduces it in place.  Howell forms
+    are canonical: ``rows`` after any sequence of inserts is the Howell form
+    of the rows inserted.
     """
 
     __slots__ = ("modulus", "order", "_at", "_changed")
@@ -133,9 +127,9 @@ class IncrementalHowell:
         residues ``row``, in [0, M); return whether the span grew."""
         M, at, changed = self.modulus, self._at, self._changed
         grew = False
-        work = [(start, row)]
-        while work:
-            col, r = work.pop()
+        col, r, owned = start, row, False  # the caller's row is never changed
+        work = None  # merge residuals and closure rows still to insert
+        while True:
             i, end = 0, len(r)
             while end and not r[end - 1]:
                 end -= 1
@@ -161,21 +155,34 @@ class IncrementalHowell:
                     elif len(below) < len(head):
                         below = [*below, *[0] * (len(head) - len(below))]
                     tail = [(s * a + t * b) % M for a, b in zip(head, below)]
+                    work = work or []
                     work.append((c + 1, [(u * a + v * b) % M for a, b in zip(head[1:], below[1:])]))
                     at[c] = (d, tail)
                     self.order = self.order // (M // d0) * (M // d)
                 else:
-                    r, col = _minus(M, r[i:end], x // placed[0], placed[1]), c
-                    i, end = 1, len(r)
+                    # reduce in place by the row placed here, which clears r[i]
+                    q, tail = x // placed[0], placed[1]
+                    stop = i + len(tail)
+                    if not owned:
+                        r, owned = list(r), True
+                    if stop > len(r):
+                        r += [0] * (stop - len(r))
+                    r[i:stop] = [(a - q * b) % M for a, b in zip(r[i:stop], tail)]
+                    end = max(end, stop)
                     while end and not r[end - 1]:
                         end -= 1
+                    i += 1
                     continue
                 if d != 1:
+                    work = work or []
                     work.append((c + 1, [(M // d) * a % M for a in tail[1:]]))
                 changed.add(c)
                 grew = True
                 break
-        return grew
+            if not work:
+                return grew
+            col, r = work.pop()
+            owned = True
 
     def pivots(self) -> list[tuple[int, int]]:
         """(pivot column, pivot entry) of each row, top row first."""
@@ -207,13 +214,20 @@ class IncrementalHowell:
         for i in range(len(placed) - 1, -1, -1):
             c0, d0, row = placed[i]
             touched = c0 in changed
+            copied = False
             for c, d, below in placed[i + 1 if touched else first:]:
                 j = c - c0
-                if j < len(row):
-                    q = row[j] // d
-                    if q:
-                        row = [*row[:j], *_minus(M, row[j:], q, below)]
-                        touched = True
+                if j >= len(row):  # this row and every later one pivot past its end
+                    break
+                q = row[j] // d
+                if q:
+                    if not copied:  # a tail handed out is never changed
+                        row, copied = list(row), True
+                    stop = j + len(below)
+                    if stop > len(row):
+                        row += [0] * (stop - len(row))
+                    row[j:stop] = [(a - q * b) % M for a, b in zip(row[j:stop], below)]
+                    touched = True
             if touched:
                 placed[i] = (c0, d0, row)
                 self._at[c0] = (d0, row)
@@ -298,12 +312,15 @@ class Subgroup:
     ``howell_pass`` returns it; ``span`` takes rows in any form.
     """
 
-    __slots__ = ("modulus", "ambient", "basis", "pivots", "_tails", "_hash")
+    __slots__ = ("modulus", "ambient", "howell", "basis", "pivots", "_tails", "_hash")
 
     def __init__(self, modulus: int, ambient: int, howell: Iterable[Pivoted]):
         self.modulus = check_modulus(modulus)
         self.ambient = ambient
+        # (pivot column, pivot entry, row) of each basis row, top row first,
+        # as ``howell_pass`` gives them; ``snf`` takes A in this form
         howell = tuple(howell)
+        self.howell: tuple[Pivoted, ...] = howell
         self.basis: tuple[Row, ...] = tuple(row for _, _, row in howell)
         # (column, entry) of each basis row's pivot, top row first
         self.pivots: tuple[tuple[int, int], ...] = tuple((c, d) for c, d, _ in howell)
@@ -435,7 +452,7 @@ def quotient_invariants(a: Subgroup, b: Subgroup) -> tuple[int, ...]:
     it.  Unit factors are dropped, so the trivial group is ().
     """
     a._check_compatible(b)
-    return lattice_quotient_invariants(a.modulus, a.basis, b.basis)
+    return lattice_quotient_invariants(a.modulus, a.howell, b.basis)
 
 
 def invariants(h: Subgroup) -> tuple[int, ...]:

@@ -1,18 +1,19 @@
 """Smith normal forms over Z_M for the quotient invariants of subgroups of (Z_M)^n.
 
 Used to classify finite abelian quotients A/B of subgroups of (Z_M)^n, with
-A given by its Howell form and B by any rows that generate it inside A.  Let
-a_1..a_r be A's Howell rows, with pivot entries p_i.  Then A ~ Z_M^r / K,
-where K is spanned by one row rho_i = (M/p_i)*e_i - x_i for each i with
-p_i != 1, x_i being the coefficients of (M/p_i)*a_i over the later rows,
-which greedy reduction finds exactly by the Howell property.  These rows span
-K: in a relation sum c_i*a_i = 0 the first nonzero c_i is the only term at
-a_i's pivot column, so M/p_i divides it, and subtracting that multiple of
-rho_i leaves a shorter relation.  Hence A/B ~ Z_M^r / (K + the coefficients
-of B's rows), and one Smith step over Z_M on that relation matrix gives the
-invariants.  Greedy reduction needs only A's Howell form, so B's rows need
-not be a Howell form: any generating set will do.  A row of A that is also a
-row of B drops its generator and its column.
+A given by its Howell form, each row with its pivot column and pivot entry,
+and B by any rows that generate it inside A.  Let a_1..a_r be A's Howell
+rows, with pivot entries p_i.  Then A ~ Z_M^r / K, where K is spanned by one
+row rho_i = (M/p_i)*e_i - x_i for each i with p_i != 1, x_i being the
+coefficients of (M/p_i)*a_i over the later rows, which greedy reduction
+finds exactly by the Howell property.  These rows span K: in a relation sum
+c_i*a_i = 0 the first nonzero c_i is the only term at a_i's pivot column, so
+M/p_i divides it, and subtracting that multiple of rho_i leaves a shorter
+relation.  Hence A/B ~ Z_M^r / (K + the coefficients of B's rows), and one
+Smith step over Z_M on that relation matrix gives the invariants.  Greedy
+reduction needs only A's Howell form, so B's rows need not be a Howell form:
+any generating set will do.  A row of A that is also a row of B drops its
+generator and its column.
 
 Everything here runs on plain Python ints, and every entry of the Smith step
 stays in [0, M), so no entry grows.
@@ -20,6 +21,7 @@ stays in [0, M), so no entry grows.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -49,11 +51,14 @@ def _gcdex(a: int, b: int) -> tuple[int, int, int, int, int]:
     return g, s, t, -(b // g), a // g
 
 
+@lru_cache(maxsize=4096)
 def _unit_lifting(a: int, M: int) -> tuple[int, int]:
     """Return (d, u) with d = gcd(a, M) and u a unit of Z_M, u*a = d (mod M).
 
     gcd(a/d, M/d) = 1, so an inverse of a/d exists mod M/d; it is then nudged
     along the progression u0 + t*(M/d) until it is coprime to M itself.
+    Cached: the elimination kernel asks for the same few (entry, M) pairs
+    again and again.
     """
     a %= M
     d = gcd(a, M)
@@ -67,15 +72,6 @@ def _unit_lifting(a: int, M: int) -> tuple[int, int]:
 
 
 Howell = Sequence[tuple[int, int, Sequence[int]]]
-
-
-def pivoted(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, Sequence[int]]]:
-    """(pivot column, pivot entry, row) of each row of a Howell form."""
-    out = []
-    for row in rows:
-        c = next(c for c, x in enumerate(row) if x)
-        out.append((c, row[c], row))
-    return out
 
 
 def coefficients(modulus: int, howell: Howell, row: Sequence[int]) -> list[int]:
@@ -99,16 +95,15 @@ def coefficients(modulus: int, howell: Howell, row: Sequence[int]) -> list[int]:
     return x
 
 
-def quotient_relations(modulus: int, a_rows: Sequence[Sequence[int]],
+def quotient_relations(modulus: int, a: Howell,
                        b_rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
     """(r, relations) with A/B ~ Z_M^r / span(relations), for the Howell form
-    ``a_rows`` of A and rows ``b_rows`` (entries in [0, M)) that generate
-    B <= A, in any order, repeats and zero rows allowed: the coefficients of
-    B's rows over A's, then the rows rho_i of K, with the generator and the
-    column of each row of A that is also a row of B dropped (such a row
-    makes e_i a relation)."""
+    ``a`` of A, (pivot column, pivot entry, row) per row, top row first, and
+    rows ``b_rows`` (entries in [0, M)) that generate B <= A, in any order,
+    repeats and zero rows allowed: the coefficients of B's rows over A's,
+    then the rows rho_i of K, with the generator and the column of each row
+    of A that is also a row of B dropped (such a row makes e_i a relation)."""
     M = modulus
-    a = pivoted(a_rows)
     index = {tuple(row): i for i, (_, _, row) in enumerate(a)}
     shared, rels = set(), []
     for row in b_rows:
@@ -205,11 +200,12 @@ def smith_invariants(modulus: int, rels: Sequence[Sequence[int]],
     return tuple(d for d in orders if d > 1)
 
 
-def lattice_quotient_invariants(modulus: int, a_rows: Sequence[Sequence[int]],
+def lattice_quotient_invariants(modulus: int, a: Howell,
                                 b_rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors of A/B, for the Howell form ``a_rows`` of A and any
-    rows ``b_rows`` that generate B <= A (a Howell form of B or not): one
+    """Invariant factors of A/B, for the Howell form ``a`` of A, (pivot
+    column, pivot entry, row) per row as ``Subgroup.howell`` holds it, and
+    any rows ``b_rows`` that generate B <= A (a Howell form of B or not): one
     Smith step over Z_M on the relations of ``quotient_relations``.  A row of
     ``b_rows`` outside A raises ``ValueError``."""
-    width, rels = quotient_relations(modulus, a_rows, b_rows)
+    width, rels = quotient_relations(modulus, a, b_rows)
     return smith_invariants(modulus, rels, width)

@@ -8,10 +8,11 @@ differ) when they do not.  The library routes come from ``codes``,
 theorems compare against them live here (``state_space``,
 ``state_space_routes``, ``window_supercode`` and the bodies of the
 theorems).  ``window_supercode`` shares nothing with the library's
-``observable_supercode``: it conditions on each window in turn, where the
-library takes the dual of a controllable subcode of the dual.  Ordinary
-granules come off the library's granule tables and end-around ones off
-their own passes, so ``end-around`` compares the two routes.
+``observable_supercode``: it checks every window at once, in one
+``lift_restriction`` pass, where the library takes the dual of a
+controllable subcode of the dual.  Ordinary granules come off the library's
+granule tables and end-around ones off their own passes, so ``end-around``
+compares the two routes.
 
 ``ALL_CHECKS`` pairs each theorem's name with its parameter draw, as one
 ``(rng, code)`` callable.  One seeded trial draws a random layout and code
@@ -31,9 +32,9 @@ from math import prod
 from random import Random
 from typing import Callable
 
-from . import dynamics, machines, residues
+from . import dynamics, machines, residues, snf
 from .codes import (GroupCode, code_equal, conditioned, cut_product, dual,
-                    restricted_subcode, restriction, shorten)
+                    lift_restriction, restricted_subcode, restriction, shorten)
 from .residues import Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout, TimeSubset
 
@@ -103,8 +104,10 @@ def state_space(code: GroupCode, times: TimeSubset) -> dynamics.Invariants:
     comp = code.layout.complement(ts)
     if not ts or not comp:
         raise ValueError("state space needs a proper nonempty cut")
-    return quotient_invariants(code.carrier, residues.add(shorten(code, ts).carrier,
-                                                          shorten(code, comp).carrier))
+    # the two shortenings' basis rows generate the denominator, as snf takes it
+    return snf.lattice_quotient_invariants(
+        code.layout.modulus, code.carrier.howell,
+        [*shorten(code, ts).carrier.basis, *shorten(code, comp).carrier.basis])
 
 
 def state_space_routes(code: GroupCode,
@@ -129,16 +132,13 @@ def state_space_routes(code: GroupCode,
 
 def window_supercode(code: GroupCode, level: int) -> GroupCode:
     """C^j by definition: the words whose part on every length-(j+1) window W
-    lies in C_{|W}, one ``conditioned`` pass per window."""
+    lies in C_{|W}, one ``lift_restriction`` pass over all the windows."""
     if level < 0:
         raise ValueError("level must be >= 0")
     layout = code.layout
     j = min(level, layout.axis_len - 1)
-    acc = GroupCode.full(layout)
-    for k in range(0, layout.axis_len - j):
-        window = layout.interval(k, k + j)
-        acc = conditioned(acc, restriction(code, window), layout.complement(window))
-    return acc
+    return lift_restriction(code, *(layout.interval(k, k + j)
+                                    for k in range(0, layout.axis_len - j)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Set-level code duality: duals, restrictions, subcodes, conditioning."""
 
+import itertools
 import random
 
 import pytest
@@ -151,3 +152,24 @@ def test_lift_restriction_degenerate():
     c = explicit(4, 3, [[1, 1, 1]])
     assert code_equal(lift_restriction(c, frozenset()), GroupCode.full(c.layout))
     assert code_equal(lift_restriction(c, c.layout.full_subset()), c)
+
+
+def test_lift_restriction_matches_window_oracle():
+    # the words whose part on every window is the part of some codeword there,
+    # for no window, one, and several that overlap, are disjoint or wrap past
+    # the end of the axis
+    shapes = [(), ({1, 2},), ({0, 1}, {2, 3}), ({0, 1, 2}, {1, 2}),
+              ({0, 1}, {1, 2}, {2, 3}), ({3, 0}, {0, 1}, {2}),
+              ({0}, {1}, {2}, {3}), ({2, 3, 0}, {3, 0, 1}, {1, 2})]
+    rng = random.Random(25)
+    for modulus in (2, 4, 6, 9):
+        for windows in shapes:
+            for _ in range(2):
+                c = random_code(rng, modulus, 4)
+                elems = oracle.code_elements(c)
+                parts = [(J, {tuple(w[t] for t in sorted(J)) for w in elems})
+                         for J in windows]
+                want = {w for w in itertools.product(range(modulus), repeat=4)
+                        if all(tuple(w[t] for t in sorted(J)) in seen for J, seen in parts)}
+                got = lift_restriction(c, *map(c.layout.subset, windows))
+                assert oracle.code_elements(got) == want, (modulus, c, windows)

@@ -384,6 +384,38 @@ def _biased_entry(rng, M, divisors):
     return rng.randrange(-M, 2 * M)
 
 
+def test_handed_out_rows_are_never_changed():
+    # rows() copies a row before it reduces it, and insert never writes into
+    # a row it placed, so every list that rows() or drop() hands out keeps its
+    # entries through later inserts, reads and drops
+    rng = random.Random(2025)
+    checked = 0
+    for M in (2, 4, 6, 9, 12, 2**64 + 13):
+        divisors = [1, *(d for d in (2, 3, 4, 6, 8, 9) if M % d == 0 and d < M)]
+        for _ in range(25):
+            n = rng.randint(1, 8)
+            form = R.IncrementalHowell(M, n)
+            handed = []
+
+            def insert_some(count):
+                for _ in range(count):
+                    start = rng.randint(0, n - 1)
+                    form.insert([rng.choice(divisors) * rng.randrange(M) % M
+                                 for _ in range(n - start)], start)
+                    if rng.random() < 0.5:
+                        handed.extend((tail, list(tail)) for _, _, tail in form.rows())
+
+            insert_some(rng.randint(1, n + 2))
+            handed.extend((tail, list(tail)) for _, tail in form.drop(rng.randint(0, n)))
+            insert_some(rng.randint(1, n + 2))
+            handed.extend((tail, list(tail)) for _, _, tail in form.rows())
+            insert_some(n)
+            form.rows()
+            assert all(list(tail) == seen for tail, seen in handed), M
+            checked += len(handed)
+    assert checked
+
+
 def test_howell_kernel_matches_numpy_reference():
     rng = random.Random(20040)
     col_rng = random.Random(20041)  # column orders, apart from the matrices

@@ -19,7 +19,7 @@ def test_coefficients_roundtrip():
             rows = [[rng.randrange(M) for _ in range(n)]
                     for _ in range(rng.randint(0, n + 1))]
             h = residues.Subgroup.span(M, rows, n)
-            howell = snf.pivoted(h.basis)
+            howell = h.howell
             for _ in range(4):
                 c = [rng.randrange(M) for _ in h.basis]
                 combo = [sum(ci * row[j] for ci, row in zip(c, h.basis)) % M
@@ -78,10 +78,11 @@ def test_smith_divisor_chain_random():
 
 def test_lattice_quotient_invariants():
     # (Z4)^2 / <(2,0),(0,2)> = Z2 x Z2
+    # A is given as (pivot column, pivot entry, row) per Howell row
     assert snf.lattice_quotient_invariants(
-        4, [[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (2, 2)
+        4, [(0, 1, (1, 0)), (1, 1, (0, 1))], [[2, 0], [0, 2]]) == (2, 2)
     # trivial quotient
-    assert snf.lattice_quotient_invariants(4, [[2]], [[2]]) == ()
+    assert snf.lattice_quotient_invariants(4, [(0, 2, (2,))], [[2]]) == ()
 
 
 def test_quotient_invariants_take_any_generating_set_of_b():
@@ -106,14 +107,14 @@ def test_quotient_invariants_take_any_generating_set_of_b():
             gens += [(0,) * n] * 2
             rng.shuffle(gens)
             b = residues.Subgroup.span(M, gens, n)
-            got = snf.lattice_quotient_invariants(M, a.basis, gens)
-            assert got == snf.lattice_quotient_invariants(M, a.basis, b.basis)
+            got = snf.lattice_quotient_invariants(M, a.howell, gens)
+            assert got == snf.lattice_quotient_invariants(M, a.howell, b.basis)
             assert prod(got) == a.order() // b.order()
             row = tuple(rng.randrange(M) for _ in range(n))
             if not a.contains(row):
                 outside += 1
                 with pytest.raises(ValueError):
-                    snf.lattice_quotient_invariants(M, a.basis, gens + [row])
+                    snf.lattice_quotient_invariants(M, a.howell, gens + [row])
     assert shared and outside
 
 
@@ -150,7 +151,7 @@ def test_quotient_invariants_match_sympy_smith(modulus):
         smith = smith_normal_form(change, domain=sympy.ZZ)
         expected = tuple(sorted(abs(int(smith[i, i])) for i in range(n)
                                 if abs(smith[i, i]) > 1))
-        got = snf.lattice_quotient_invariants(M, a.basis, b.basis)
+        got = snf.lattice_quotient_invariants(M, a.howell, b.basis)
         assert got == expected
         assert prod(got) == a.order() // b.order()
     assert shared and differing

@@ -88,6 +88,7 @@ def _planted_faults():
     orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
                                       dyn._cut_heads, R.IncrementalHowell.insert)
     subcode_ends, window_ends = dyn.subcode_ends, dyn.window_ends
+    lift = codes.lift_restriction
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -125,7 +126,7 @@ def _planted_faults():
         future = [row for (c, _), row in zip(carrier.pivots, carrier.basis)
                   if c >= lay.starts[k]]
         return dyn.StateSpaceReport(snf.lattice_quotient_invariants(
-            lay.modulus, carrier.basis, past + future))
+            lay.modulus, carrier.howell, past + future))
 
     def long_intervals(code):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
         return tuple(row[1:] + row[-1:] for row in orders(code))
@@ -174,8 +175,15 @@ def _planted_faults():
     def short_future(code, k, order, cap):  # the L^ window pass one time short
         return chain_pass(code, k, order[:-1] if order and order[0] > k else order, cap)
 
-    def short_smith(modulus, a_rows, b_rows):  # last relation row dropped
-        width, rels = snf.quotient_relations(modulus, a_rows, b_rows)
+    def half_denominator(code, interval):  # Gamma modulo one one-short subcode only
+        times = interval.times(code.layout)
+        den = ([] if len(times) == 1
+               else codes.shorten(code, times - {interval.hi}).carrier.basis)
+        return snf.lattice_quotient_invariants(
+            code.layout.modulus, codes.shorten(code, times).carrier.howell, den)
+
+    def short_smith(modulus, a, b_rows):  # last relation row dropped
+        width, rels = snf.quotient_relations(modulus, a, b_rows)
         return snf.smith_invariants(modulus, rels[:-1], width)
 
     return [
@@ -192,6 +200,9 @@ def _planted_faults():
         (dyn, "controllability_tests", bad_puncture, "interval-test-equivalence"),
         (dyn, "observability_tests", bad_window_lift, "interval-test-equivalence"),
         (verify, "window_supercode", lambda code, j: win(code, j + 1), "granule-duality"),
+        (verify, "lift_restriction",  # the last window's check left out
+         lambda code, *windows: lift(code, *windows[:-1]), "granule-duality"),
+        (dyn, "controller_granule_on", half_denominator, "end-around"),
         (dyn, "span_profile", late_profile, "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "end-around"),
         (dyn, "subcode_ends", late_start(subcode_ends), "granule-factorization"),
