@@ -8,13 +8,11 @@ conditioned codes.
 Each operation is one Howell projection of one matrix.  A code's basis is a
 tuple of int tuples, and ``residues.howell_pass`` gives each Howell row with
 its pivot.  Restrictions, sums (``cut_product``) and the dual are one pass
-each.  ``pivot_rows`` is the one Howell pass over a code's basis with its
-times in a chosen order; ``shorten`` and the nested shortenings of
-``dynamics`` and ``machines`` are read off it.  Conditioning keeps the rows
-of one pass that pivot past a leading column block, and so does
-``lift_restriction``, the words that pass the checks of any number of
-windows (C + W_{I-J} for one window), with one leading block per window;
-intersections are one Zassenhaus pass.
+each, and so is ``shorten``, with the columns outside its support in
+front.  Conditioning keeps the rows of one pass that pivot past a leading
+column block, and so does ``lift_restriction``, the words that pass the
+checks of any number of windows (C + W_{I-J} for one window), with one
+leading block per window; intersections are one Zassenhaus pass.
 
 Conventions that matter elsewhere:
 
@@ -33,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import residues
-from .residues import Row, Subgroup
+from .residues import Subgroup
 from .spaces import SymbolLayout, TimeSubset
 
 
@@ -126,40 +124,25 @@ def restriction(c: GroupCode, times: TimeSubset) -> GroupCode:
                         [[row[i] for i in idx] for row in c.carrier.basis])
 
 
-def pivot_rows(layout: SymbolLayout, rows: Sequence[Row], order: Sequence[int],
-               skip: int = 0) -> list[tuple[int, int, int, Row]]:
-    """One Howell pass over ``rows`` with the blocks of the times in ``order``
-    in that order, the other times dropped: (index in ``order`` of the pivot's
-    time, pivot column, pivot entry, row) per Howell row, column and row in
-    the layout's coordinates.  By the Howell property the rows that pivot past
-    the first q times of ``order`` span the words of the pass's span that
-    vanish on those q times.  Only the rows that pivot past the first
-    ``skip`` times are finished and returned."""
-    starts, cols, rank = layout.starts, [], [0] * layout.total_dim
-    keep = sum(layout.widths[t] for t in order[:skip])
-    for i, t in enumerate(order):
-        cols += range(starts[t], starts[t + 1])
-        rank[starts[t]:starts[t + 1]] = [i] * layout.widths[t]
-    return [(rank[c], c, d, row) for c, d, row in
-            residues.howell_pass(layout.modulus, rows, layout.total_dim, cols, keep)]
-
-
 @lru_cache(maxsize=16384)
 def shorten(c: GroupCode, support: TimeSubset) -> GroupCode:
     """Subcode of words supported inside ``support``, on the full layout.
 
-    One ``pivot_rows`` pass with the times outside ``support`` in front; the
-    rows that pivot inside it are a Howell form, ``support`` being sorted.
+    One Howell pass over the basis with the columns outside ``support`` in
+    front: by the Howell property the rows that pivot past them span the
+    words that vanish there, and they are a Howell form, ``support`` being
+    sorted.
     """
-    ts = c.layout.subset(support)
+    lay = c.layout
+    ts = lay.subset(support)
     if not ts:
-        return GroupCode.trivial(c.layout)
-    if ts == c.layout.full_subset():
+        return GroupCode.trivial(lay)
+    if ts == lay.full_subset():
         return c
-    outside = sorted(c.layout.complement(ts))
-    rows = [(col, d, row) for _, col, d, row in
-            pivot_rows(c.layout, c.carrier.basis, outside + sorted(ts), len(outside))]
-    return GroupCode(c.layout, Subgroup(c.layout.modulus, c.layout.total_dim, rows))
+    head = lay.coords(lay.complement(ts))
+    rows = residues.howell_pass(lay.modulus, c.carrier.basis, lay.total_dim,
+                                head + lay.coords(ts), len(head))
+    return GroupCode(lay, Subgroup(lay.modulus, lay.total_dim, rows))
 
 
 def restricted_subcode(c: GroupCode, support: TimeSubset) -> GroupCode:

@@ -10,55 +10,39 @@ restriction, evaluated exactly:
 * the interval controllability/observability tests, their indices, and the
   first/last-output chains with their syndrome groups.
 
-Each number has one route, its cheapest exact one.  A pass over the code's
-basis that hands on whole rows is one ``codes.pivot_rows`` pass with the
-times in a chosen order, and each nested family of subcodes or windows is
-one sweep of ``residues.IncrementalHowell`` inserts, cached per code, rather
-than one pass per member:
+Each number has one route, its cheapest exact one.  The code's two nested
+families, its interval subcodes and its windows, live in its one cached
+``Trellis`` (``trellis``), read off three sweeps of
+``residues.IncrementalHowell`` inserts, each run on first read:
 
-* ``span_profile`` grows the trellis-oriented (minimal-span) rows of
-  C_{:[k,N)} for k = N-1 down to 0, with the times reversed, keeping each
-  row's pivot column and pivot entry; ``interval_orders``, |C_{:[k,n)}| for
-  every k <= n, is a running product of M/pivot over their end times.
-* ``_window_sweep`` drops one block at a time from the code's own basis and
-  inserts the rows that pivoted in it again, giving the Howell form of
-  C_{|[m,N)} for each m; ``window_orders``, |C_{|[m,n)}| for every m <= n,
-  reads its pivots.
-* The granule tables hold one subgroup of one symbol block per entry:
-  ``subcode_ends`` (the block-b symbols that end a word of C_{:[a,b]}) is
-  the block-b parts of the profile rows of start a that end at b, and
-  ``window_ends`` (Y([a,b]), the block-b symbols of the words of C_{|[a,b]}
-  that vanish on [a,b)) is the block-b parts of the rows of C_{|[a,N)} that
-  pivot in block b.
-* The kernel of the state map at cut k is D_k = C_{:[0,k)} + C_{:[k,N)}.
-  The state at one cut (``state_at``) reads rows that generate it: the
-  start-0 profile rows that end before time k, and the code's basis rows
-  from block k on.  The machines want every cut, each as a Howell form:
-  ``_cut_heads`` inserts the start-0 profile rows by their last time, giving
-  the Howell rows of every prefix subcode C_{:[0,k)}, and ``cut_rows``
-  stacks them over those basis rows, as tails.
+* ``profile`` holds the trellis-oriented (minimal-span) rows of each
+  C_{:[k,N)}, by start k and end time b, and ``windows`` the Howell rows of
+  each C_{|[m,N)}, by m and pivot block b.  One reader turns either into
+  orders (``interval_orders``, ``window_orders``) and one into the groups of
+  block-b symbols that their rows end in (``subcode_ends``, ``window_ends``).
+* ``cut_heads`` holds the Howell rows of every prefix subcode C_{:[0,k)}.
+  The kernel of the state map at cut k is D_k = C_{:[0,k)} + C_{:[k,N)}:
+  ``state_at`` reads rows that generate it off the profile and the code's
+  basis, and ``cut_rows``, for the machines, stacks the cut heads over the
+  basis rows from block k on, as tails.
 
 Each interval test compares orders: a sum of two shortenings inside a third
 group is all of it exactly when the orders say so, because the two meet in a
 shortening too; for observability the interior term is the window's order
 |C_{|[m,n)}|.  Both tests take an empty interval [m, m), where each is the
 zero-memory test at cut m, so an index search has one test shape for every
-length.  The tests, the index searches and the machines' memory read their
-orders off those tables and make no pass.  Each ordinary granule is a
-quotient of two entries of a granule table: Gamma_{[k,k+j]} is
-``subcode_ends``' [k][k+j] modulo its [k+1][k+j], and Phi_{[k,k+j]} is
-Y([k+1,k+j]) / Y([k,k+j]), with no dual and no pass of its own.  No sweep
+length.  Each ordinary granule is a quotient of two ending groups:
+Gamma_{[k,k+j]} is ``subcode_ends``' [k][k+j] modulo its [k+1][k+j], and
+Phi_{[k,k+j]} is Y([k+1,k+j]) / Y([k,k+j]) off ``window_ends``.  No sweep
 covers a set that wraps past the ends of the axis, so end-around granules
-keep their own routes (``controller_granule_on``, ``observer_granule_on``
-and its two passes, ``ending_symbols``).  F_k is read off the code's basis.
-Of the four output chains at time k, the first- and last-output chains are
-read off ``span_profile``, and the two dual chains off one window pass each,
-over the times on one side of k up to the chain's top level and no further;
-each pass nests all its levels, and its rows, read unreduced, since only
-their block-k parts are wanted, give every level in one run of inserts from
-the last level up.  The chains' successive quotients are the granules
-Gamma_{[k,k+j]} and Phi_{[k,k+j]} that reports read (``ChainReport``), which
-builds the last-output chain and the dual first-output chain only when read.
+keep their own routes (``controller_granule_on``, and ``observer_granule_on``
+with one ``_chain_pass``).  F_k is read off the code's basis.  Of the four
+output chains at time k, the first- and last-output chains are read off the
+profile, and the two dual chains off one ``_chain_pass`` each, over the
+times on one side of k up to the chain's top level; its rows, read
+unreduced, give every level in one run of inserts.  The chains' successive
+quotients are the granules that reports read (``ChainReport``), which builds
+the last-output chain and the dual first-output chain only when read.
 
 The definitional routes that the theorems equate with these live in
 ``verify``, each in the theorem that compares it: the state space at any cut
@@ -68,7 +52,7 @@ C^{j-1}_{|W} / C^j_{|W}.  Only ``verify`` and tests call the few
 routes below, which stay here because ``perfbench/spans.py`` traces them by
 name: the granule functions, ``controllability_tests`` and
 ``observability_tests`` (each characterization on its own), and the memoized
-``controllable_subcode`` (spans of ``span_profile`` rows) and
+``controllable_subcode`` (spans of profile rows) and
 ``observable_supercode`` (((C^perp)_j)^perp).
 
 Finite-axis policy: intervals [k, k+j] are only formed when fully inside the
@@ -82,15 +66,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import residues, snf
 from .codes import (GroupCode, code_equal, cut_product, dual, lift_restriction,
-                    pivot_rows, restriction, shorten)
+                    restriction, shorten)
 from .residues import Pivoted, Row, Subgroup, quotient_invariants
-from .spaces import Interval, SymbolLayout, TimeSubset
+from .spaces import Interval, SymbolLayout
 
 
 class InternalInconsistency(Exception):
@@ -119,7 +101,7 @@ def state_at(code: GroupCode, k: int) -> StateSpaceReport:
     """State space at the cut before time k: C / (C_{:[0,k)} + C_{:[k,N)}).
 
     ``snf`` needs the denominator only as rows that generate it inside C.
-    The start-0 ``span_profile`` rows that end before time k span
+    The start-0 ``Trellis.profile`` rows that end before time k span
     C_{:[0,k)}, and the code's basis rows that pivot from block k on span
     C_{:[k,N)}; those are rows of C's Howell form, so each drops out of the
     Smith step with its generator.
@@ -128,14 +110,14 @@ def state_at(code: GroupCode, k: int) -> StateSpaceReport:
     if not 1 <= k <= N - 1:
         raise ValueError(f"cut {k} must satisfy 1 <= k <= N-1, with N = {N}")
     carrier, s = code.carrier, code.layout.starts[k]
-    past = [row for ending in span_profile(code)[0][:k] for _, _, row in ending]
+    past = [row for ending in trellis(code).profile[0][:k] for _, _, row in ending]
     future = [row for (c, _), row in zip(carrier.pivots, carrier.basis) if c >= s]
     return StateSpaceReport(snf.lattice_quotient_invariants(
         code.layout.modulus, carrier.howell, past + future))
 
 
 # ---------------------------------------------------------------------------
-# controllable subcodes / observable supercodes
+# the trellis
 
 
 def _reversed_order(layout: SymbolLayout) -> tuple[list[int], list[int]]:
@@ -145,194 +127,191 @@ def _reversed_order(layout: SymbolLayout) -> tuple[list[int], list[int]]:
     return [c for t in reversed(layout.times()) for c in layout.block(t)], times
 
 
-@lru_cache(maxsize=1024)
-def span_profile(code: GroupCode) -> tuple[tuple[tuple[Pivoted, ...], ...], ...]:
-    """Trellis-oriented rows of the code, by start time and last time.
-
-    ``span_profile(code)[k][b]`` holds the rows that vanish before time k and
-    end at time b (empty for b < k), each as (pivot column, pivot entry,
-    full-length int tuple); the pivot is the row's first nonzero entry in
-    block b.  The rows of start k that end by time b span exactly the
-    interval subcode C_{:[k,b]}.
-
-    One sweep of inserts for k = N-1 down to 0, in the columns of
-    ``_reversed_order``: a word of C_{:[k,N)} vanishes before time k, so one
-    column order serves every k, and step k inserts the code's basis rows
-    that pivot in block k, which together with C_{:[k+1,N)} span C_{:[k,N)}.
-    Each row pivots at its last time, and by the Howell property the rows
-    that end by time b span C_{:[k,b]}.  A row is written out only when its
-    tail changed since the last step.
-    """
-    layout, carrier = code.layout, code.carrier
-    N, n, starts = layout.axis_len, layout.total_dim, layout.starts
-    perm, time_at = _reversed_order(layout)
-    form = residues.IncrementalHowell(layout.modulus, n)
-    written: dict[int, tuple] = {}  # position -> (tail, the row written out)
-    profile: list = [()] * N
-    i = len(carrier.basis)
-    for k in reversed(layout.times()):
-        cols = perm[:n - starts[k]]
-        while i and carrier.pivots[i - 1][0] >= starts[k]:
-            i -= 1
-            row = carrier.basis[i]
-            form.insert([row[c] for c in cols])
-        rows = form.rows()
-        fresh = [(p, d, tail) for p, d, tail in rows
-                 if p not in written or written[p][0] is not tail]
-        for (p, _, tail), out in zip(fresh, residues.written_out(fresh, n, perm)):
-            written[p] = (tail, out)
-        by_end: list[list[Pivoted]] = [[] for _ in range(N)]
-        for p, _, _ in rows:
-            by_end[time_at[p]].append(written[p][1])
-        profile[k] = tuple(map(tuple, by_end))
-    return tuple(profile)
+Rows = tuple[tuple[tuple[Pivoted, ...], ...], ...]  # [a][b]: rows, empty for b < a
 
 
 @lru_cache(maxsize=1024)
-def interval_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
-    """``interval_orders(code)[k][n]`` is |C_{:[k,n)}| for 0 <= k, n <= N
-    (1 for n <= k): the product of M/pivot over the ``span_profile`` rows of
-    start k that end before time n, one running product per start."""
-    M, N = code.layout.modulus, code.layout.axis_len
-    table = []
-    for k, by_end in enumerate(span_profile(code)):
-        row, order = [1] * (k + 1), 1
-        for ending in by_end[k:]:
-            for _, d, _ in ending:
-                order *= M // d
-            row.append(order)
-        table.append(tuple(row))
-    table.append((1,) * (N + 1))
-    return tuple(table)
+def trellis(code: GroupCode) -> Trellis:
+    """The code's ``Trellis``, shared by every reader of its tables."""
+    return Trellis(code)
 
 
-def _window_sweep(code: GroupCode) -> Iterator[residues.IncrementalHowell]:
-    """Yield the ``IncrementalHowell`` form of C_{|[m,N)} for m = 0..N-1, one
-    form updated in place, held on the full coordinates (zero before block m).
+class Trellis:
+    """The nested families of one code, off its minimal trellis: its interval
+    subcodes in ``profile`` and its windows in ``windows``, each table built
+    on first read.  Those two hold rows as (pivot column, pivot entry, row);
+    one reader turns either into orders and one into ending groups, each
+    with a last row a = N for the empty family."""
 
-    The form at m is the one at m-1 with its rows that pivot in block m-1
-    cut down to the later blocks and inserted again.  By the Howell property
-    its rows that pivot from block n on span the words of C_{|[m,N)} that
-    vanish on [m, n).
-    """
-    starts = code.layout.starts
-    form = residues.IncrementalHowell(code.layout.modulus, code.layout.total_dim,
-                                      code.carrier.tails)
-    for m in code.layout.times():
-        for c, tail in form.drop(starts[m]):
-            form.insert(tail[starts[m] - c:], starts[m])
-        yield form
+    def __init__(self, code: GroupCode):
+        self.code = code
+
+    @cached_property
+    def profile(self) -> Rows:
+        """``profile[k][b]``: the trellis-oriented rows that vanish before time
+        k and end at time b, full-length, each pivoting at its first nonzero
+        entry in block b.  The rows of start k that end by time b span exactly
+        the interval subcode C_{:[k,b]}.
+
+        One sweep of inserts for k = N-1 down to 0, in the columns of
+        ``_reversed_order``: a word of C_{:[k,N)} vanishes before time k, so
+        one column order serves every k, and step k inserts the code's basis
+        rows that pivot in block k, which together with C_{:[k+1,N)} span
+        C_{:[k,N)}.  Each row pivots at its last time, and by the Howell
+        property the rows that end by time b span C_{:[k,b]}.  A row is
+        written out only when its tail changed since the last step.
+        """
+        layout, carrier = self.code.layout, self.code.carrier
+        N, n, starts = layout.axis_len, layout.total_dim, layout.starts
+        perm, time_at = _reversed_order(layout)
+        form = residues.IncrementalHowell(layout.modulus, n)
+        written: dict[int, tuple] = {}  # position -> (tail, the row written out)
+        profile: list = [()] * N
+        i = len(carrier.basis)
+        for k in reversed(layout.times()):
+            cols = perm[:n - starts[k]]
+            while i and carrier.pivots[i - 1][0] >= starts[k]:
+                i -= 1
+                row = carrier.basis[i]
+                form.insert([row[c] for c in cols])
+            rows = form.rows()
+            fresh = [(p, d, tail) for p, d, tail in rows
+                     if p not in written or written[p][0] is not tail]
+            for (p, _, tail), out in zip(fresh, residues.written_out(fresh, n, perm)):
+                written[p] = (tail, out)
+            by_end: list[list[Pivoted]] = [[] for _ in range(N)]
+            for p, _, _ in rows:
+                by_end[time_at[p]].append(written[p][1])
+            profile[k] = tuple(map(tuple, by_end))
+        return tuple(profile)
+
+    @cached_property
+    def windows(self) -> Rows:
+        """``windows[m][b]``: the Howell rows of C_{|[m,N)} that pivot in block
+        b, as tails on the full coordinates.  Those that pivot from block b on
+        span the words of C_{|[m,N)} that vanish on [m, b).
+
+        One sweep from the code's Howell basis: the form at m is the one at
+        m-1 with its rows that pivot in block m-1 cut down to the later blocks
+        and inserted again.
+        """
+        layout = self.code.layout
+        time_of = [t for t in layout.times() for _ in layout.block(t)]
+        form = residues.IncrementalHowell(layout.modulus, layout.total_dim,
+                                          self.code.carrier.tails)
+        table = []
+        for s in layout.starts[:-1]:
+            for c, tail in form.drop(s):
+                form.insert(tail[s - c:], s)
+            by_time: list[list] = [[] for _ in layout.times()]
+            for row in form.rows():
+                by_time[time_of[row[0]]].append(row)
+            table.append(tuple(map(tuple, by_time)))
+        return tuple(table)
+
+    @cached_property
+    def cut_heads(self) -> tuple[tuple[tuple[int, int, Row], ...], ...]:
+        """``cut_heads[k]``, k = 0..N: the Howell rows of C_{:[0,k)}, as tails.
+        One forward sweep: cut k+1 inserts the start-0 ``profile`` rows that
+        end at time k into the rows of cut k."""
+        layout = self.code.layout
+        form = residues.IncrementalHowell(layout.modulus, layout.total_dim)
+        heads = [()]
+        for ending in self.profile[0]:
+            for _, _, row in ending:
+                form.insert(row)
+            heads.append(tuple(form.rows()))
+        return tuple(heads)
+
+    @cached_property
+    def interval_orders(self) -> tuple[tuple[int, ...], ...]:
+        """``[k][n]``: |C_{:[k,n)}| for 0 <= k, n <= N (1 for n <= k)."""
+        return self._orders(self.profile)
+
+    @cached_property
+    def window_orders(self) -> tuple[tuple[int, ...], ...]:
+        """``[m][n]``: |C_{|[m,n)}| for 0 <= m, n <= N (1 for n <= m), since
+        the rows of C_{|[m,N)} that pivot from block n on span the kernel of
+        the projection onto the window."""
+        return self._orders(self.windows)
+
+    @cached_property
+    def subcode_ends(self) -> tuple[tuple[Subgroup, ...], ...]:
+        """``[a][b]``, b < N: the time-b symbols that end a word of C_{:[a,b]}
+        (trivial for b < a), since the profile rows that end before b vanish
+        there."""
+        return self._ends(self.profile, Subgroup.trivial, whole=True)
+
+    @cached_property
+    def window_ends(self) -> tuple[tuple[Subgroup, ...], ...]:
+        """``[a][b]``, b < N: Y([a, b]), the time-b symbols of the words of
+        C_{|[a,b]} that vanish on [a, b) (every symbol for b < a)."""
+        return self._ends(self.windows, Subgroup.full, whole=False)
+
+    def _orders(self, table: Rows) -> tuple[tuple[int, ...], ...]:
+        """``[a][n]``: the product of M/pivot over the rows at [a][b] for
+        b < n, one running product per a."""
+        M, N = self.code.layout.modulus, self.code.layout.axis_len
+        out = []
+        for a, by_end in enumerate(table):
+            row, order = [1] * (a + 1), 1
+            for rows in by_end[a:]:
+                for _, d, _ in rows:
+                    order *= M // d
+                row.append(order)
+            out.append(tuple(row))
+        out.append((1,) * (N + 1))
+        return tuple(out)
+
+    def _ends(self, table: Rows, outside, whole: bool) -> tuple[tuple[Subgroup, ...], ...]:
+        """``[a][b]``: the group of the block-b parts of the rows at [a][b],
+        or ``outside`` for b < a and for a = N."""
+        layout = self.code.layout
+        fill = tuple(outside(layout.modulus, w) for w in layout.widths)
+        return (*(fill[:a] + tuple(_block_group(layout, b, rows, whole)
+                                   for b, rows in enumerate(by_end[a:], a))
+                  for a, by_end in enumerate(table)), fill)
 
 
-@lru_cache(maxsize=1024)
-def window_orders(code: GroupCode) -> tuple[tuple[int, ...], ...]:
-    """``window_orders(code)[m][n]`` is |C_{|[m,n)}| for 0 <= m, n <= N (1 for
-    n <= m, the empty window).
-
-    Read off the pivots of ``_window_sweep``: the rows of C_{|[m,N)} that
-    pivot from block n on span the kernel of the projection onto the window,
-    so |C_{|[m,n)}| is the product of M/pivot over the rows that pivot before
-    block n.
-    """
-    layout = code.layout
-    M, N = layout.modulus, layout.axis_len
-    time_of = [t for t in layout.times() for _ in layout.block(t)]
-    table = []
-    for m, form in enumerate(_window_sweep(code)):
-        at_time = [1] * N
-        for c, d in form.pivots():
-            at_time[time_of[c]] *= M // d
-        table.append((1,) * m + tuple(accumulate(at_time[m:], mul, initial=1)))
-    table.append((1,) * (N + 1))
-    return tuple(table)
-
-
-def _block_group(layout: SymbolLayout, t: int,
-                 rows: Iterable[tuple[int, int, Row]]) -> Subgroup:
+def _block_group(layout: SymbolLayout, t: int, rows: Iterable[Pivoted],
+                 whole: bool = False) -> Subgroup:
     """The group of time-t symbols spanned by the block-t parts of Howell rows
-    that pivot in block t, each (pivot column, pivot entry, tail from the
-    pivot on).  Those parts are the Howell form of the projection onto block
-    t of the span of these rows and the rows that pivot after block t."""
+    that pivot in block t, each (pivot column, pivot entry, row), the row
+    full-length if ``whole`` and otherwise its tail from the pivot on.  Those
+    parts are the Howell form of the projection onto block t of the span of
+    these rows and the rows that pivot after block t."""
     s, e = layout.starts[t], layout.starts[t + 1]
     return Subgroup(layout.modulus, e - s, residues.written_out(
-        [(c - s, d, tail[:e - c]) for c, d, tail in rows], e - s))
-
-
-@lru_cache(maxsize=1024)
-def subcode_ends(code: GroupCode) -> tuple[tuple[Subgroup, ...], ...]:
-    """``subcode_ends(code)[a][b]``, for 0 <= a <= N and 0 <= b < N, is the
-    group of time-b symbols that end a word of C_{:[a,b]} (trivial for
-    b < a): the block-b parts of the ``span_profile`` rows of start a that
-    end at b, since the rows that end before b vanish there."""
-    layout = code.layout
-    table = [tuple(_block_group(layout, b, [(c, d, row[c:]) for c, d, row in ending])
-                   for b, ending in enumerate(by_end))
-             for by_end in span_profile(code)]
-    table.append(tuple(Subgroup.trivial(layout.modulus, w) for w in layout.widths))
-    return tuple(table)
-
-
-@lru_cache(maxsize=1024)
-def window_ends(code: GroupCode) -> tuple[tuple[Subgroup, ...], ...]:
-    """``window_ends(code)[a][b]``, for 0 <= a <= N and 0 <= b < N, is
-    Y([a, b]), the group of time-b symbols of the words of C_{|[a,b]} that
-    vanish on [a, b) (the whole symbol group for b < a): the block-b parts of
-    the rows of C_{|[a,N)} in ``_window_sweep`` that pivot in block b."""
-    layout = code.layout
-    full = tuple(Subgroup.full(layout.modulus, w) for w in layout.widths)
-    time_of = [t for t in layout.times() for _ in layout.block(t)]
-    table = []
-    for a, form in enumerate(_window_sweep(code)):
-        by_time = [[] for _ in layout.times()]
-        for row in form.rows():
-            by_time[time_of[row[0]]].append(row)
-        table.append(full[:a] + tuple(_block_group(layout, b, by_time[b])
-                                      for b in range(a, layout.axis_len)))
-    table.append(full)
-    return tuple(table)
-
-
-@lru_cache(maxsize=1024)
-def _cut_heads(code: GroupCode) -> tuple[tuple[tuple[int, int, Row], ...], ...]:
-    """``_cut_heads(code)[k]``, k = 0..N: the Howell rows of C_{:[0,k)} as
-    ``IncrementalHowell.rows`` gives them, (pivot column, pivot entry, tail).
-
-    One forward sweep: cut k+1 inserts the start-0 rows of ``span_profile``
-    that end at time k into the rows of cut k.
-    """
-    layout = code.layout
-    form = residues.IncrementalHowell(layout.modulus, layout.total_dim)
-    heads = [()]
-    for ending in span_profile(code)[0]:
-        for _, _, row in ending:
-            form.insert(row)
-        heads.append(tuple(form.rows()))
-    return tuple(heads)
+        [(c - s, d, row[c:e] if whole else row[:e - c]) for c, d, row in rows], e - s))
 
 
 def cut_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
     """The Howell rows of C_{:[0,k)} + C_{:[k,N)}, (pivot column, pivot entry,
     tail) per row, top row first: the summands have disjoint supports and
-    the future rows are the tail of the code's Howell basis, so the rows of
-    ``_cut_heads`` at cut k, stacked over those, are the sum's Howell form."""
+    the future rows are the tail of the code's Howell basis, so the trellis's
+    ``cut_heads`` at cut k, stacked over those, are the sum's Howell form."""
     N = code.layout.axis_len
     if not 0 <= k <= N:
         raise ValueError(f"cut {k} outside 0..{N}")
     s = code.layout.starts[k]
-    return [*_cut_heads(code)[k], *(t for t in code.carrier.tails if t[0] >= s)]
+    return [*trellis(code).cut_heads[k], *(t for t in code.carrier.tails if t[0] >= s)]
+
+
+# ---------------------------------------------------------------------------
+# controllable subcodes / observable supercodes
 
 
 @lru_cache(maxsize=4096)
 def controllable_subcode(code: GroupCode, level: int) -> GroupCode:
     """C_j: the subcode generated by words supported on length-(j+1) intervals.
 
-    One span of the profile rows that end at most j times past their start.
+    One span of the ``profile`` rows that end at most j times past their
+    start.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     layout = code.layout
-    profile = span_profile(code)
-    rows = list(dict.fromkeys(row for k, by_end in enumerate(profile)
+    rows = list(dict.fromkeys(row for k, by_end in enumerate(trellis(code).profile)
                               for ending in by_end[k:k + level + 1] for _, _, row in ending))
     return GroupCode(layout, Subgroup.span(layout.modulus, rows, layout.total_dim))
 
@@ -371,7 +350,7 @@ def controller_granule(code: GroupCode, k: int, level: int) -> Invariants:
     ``subcode_ends``' [k][k+j] modulo its [k+1][k+j].
     """
     _check_interval(code, k, level)
-    ends = subcode_ends(code)
+    ends = trellis(code).subcode_ends
     return quotient_invariants(ends[k][k + level], ends[k + 1][k + level])
 
 
@@ -391,26 +370,15 @@ def observer_granule_on(code: GroupCode, interval: Interval) -> Invariants:
     h make up Y(T-{lo}); those in C_{|T} have their symbols in Y(T).  By the
     second isomorphism theorem Phi_T ~ Y(T-{lo}) / Y(T), where Y(T-{lo}) is
     the whole symbol group if T = {h}.
+
+    Both come from one ``_chain_pass`` at h over the times of T-{lo,h}, then
+    lo: its last two levels are Y(T-{lo}) and Y(T).
     """
-    times, h = interval.times(code.layout), interval.hi
-    num = (ending_symbols(code, times - {interval.lo}, h) if len(times) > 1
-           else Subgroup.full(code.layout.modulus, code.layout.widths[h]))
-    return quotient_invariants(num, ending_symbols(code, times, h))
-
-
-def ending_symbols(code: GroupCode, times: TimeSubset, h: int) -> Subgroup:
-    """Y(S): the symbols at time h in S that end a word of C_{|S} vanishing on
-    S-{h}.
-
-    One ``pivot_rows`` pass over the times of S with h last: by the Howell
-    property the rows that pivot at h span exactly those words.
-    """
-    if h not in times:
-        raise ValueError(f"time {h} is not in the subset {sorted(times)}")
-    rest = sorted(times - {h})
-    return _block_group(code.layout, h, [
-        (col, d, row[col:]) for _, col, d, row in
-        pivot_rows(code.layout, code.carrier.basis, rest + [h], len(rest))])
+    times, lo, h = interval.times(code.layout), interval.lo, interval.hi
+    order = [*sorted(times - {lo, h}), lo] if len(times) > 1 else []
+    levels = _chain_pass(code, h, order, len(order))
+    num = levels[-2] if order else Subgroup.full(code.layout.modulus, code.layout.widths[h])
+    return quotient_invariants(num, levels[-1])
 
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
@@ -418,7 +386,7 @@ def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
     group at k.  Y([k+1, k+j]) / Y([k, k+j]), as in ``observer_granule_on``,
     read off ``window_ends``."""
     _check_interval(code, k, level)
-    ends = window_ends(code)
+    ends = trellis(code).window_ends
     return quotient_invariants(ends[k + 1][k + level], ends[k][k + level])
 
 
@@ -450,7 +418,7 @@ def controllable_on(code: GroupCode, m: int, n: int) -> bool:
     N = code.layout.axis_len
     if not 0 <= m <= n <= N:
         raise ValueError("need 0 <= m <= n <= N")
-    orders = interval_orders(code)
+    orders = trellis(code).interval_orders
     return code.order() * orders[m][n] == orders[0][n] * orders[m][N]
 
 
@@ -483,9 +451,9 @@ def observable_on(code: GroupCode, m: int, n: int) -> bool:
         raise ValueError("need 0 <= m <= n <= N")
     # C / C_{:off-window} ~ C_{|[m,n)}, so the off-window subcode has order
     # |C| / |C_{|[m,n)}|
-    orders = interval_orders(code)
-    return (code.order() == window_orders(code)[m][n]
-            * orders[0][m] * orders[n][code.layout.axis_len])
+    t = trellis(code)
+    return (code.order() == t.window_orders[m][n]
+            * t.interval_orders[0][m] * t.interval_orders[n][code.layout.axis_len])
 
 
 def observability_tests(code: GroupCode, m: int, n: int) -> dict[str, bool]:
@@ -558,9 +526,8 @@ class ChainReport:
     @cached_property
     def last_output(self) -> tuple[Subgroup, ...]:  # L_{j,k}
         # the block-k parts of the profile rows of start max(k-j, 0) that end at k
-        k, profile = self.time, span_profile(self.code)
-        return tuple(_block_group(self.code.layout, k, [(c, d, row[c:]) for c, d, row in
-                                                        profile[max(k - j, 0)][k]])
+        k, profile = self.time, trellis(self.code).profile
+        return tuple(_block_group(self.code.layout, k, profile[max(k - j, 0)][k], True)
                      for j in range(self.levels + 1))
 
     @cached_property
@@ -660,7 +627,7 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     """The four chains at time k, up to level cap = min(max_level, N-1).
 
     F_{j,k} = (C_{:[k,k+j]})_{|{k}} is spanned by the block-k parts of the
-    ``span_profile`` rows of start k that end by time k+j, one insert each
+    ``Trellis.profile`` rows of start k that end by time k+j, one insert each
     into a form of block k's width, read after each level.  L_{j,k} is
     (C_{:[k-j,k]})_{|{k}}, the block-k parts of the profile rows of start
     max(k-j, 0) that end at k.  F^{j,k}, the block-k symbols of the codewords
@@ -676,7 +643,7 @@ def output_chains(code: GroupCode, k: int, max_level: int | None = None) -> Chai
     if max_level is not None and max_level < 0:
         raise ValueError("max_level must be >= 0")
     cap = N - 1 if max_level is None else min(max_level, N - 1)
-    block, profile = layout.block(k), span_profile(code)
+    block, profile = layout.block(k), trellis(code).profile
     form = residues.IncrementalHowell(M, len(block))
     first = []
     for j in range(cap + 1):

@@ -287,16 +287,16 @@ class ObserverEncoder:
 def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]:
     """Checks (lo, hi, row) of a dual code, shortest span first.
 
-    The rows of ``dynamics.span_profile`` with start k that end by time b span
-    exactly the interval subcode of the dual on [k, b].  Intervals are taken
-    shortest first, and a row is kept only when the rows kept so far do not
-    span it.  Those already span every shorter interval subcode, so each kept
+    The rows of the dual's ``Trellis.profile`` with start k that end by time
+    b span exactly the interval subcode of the dual on [k, b].  Intervals are
+    taken shortest first, and a row is kept only when the rows kept so far do
+    not span it.  Those already span every shorter interval subcode, so each kept
     row touches both ends of its interval and the rows of span j generate the
     granules Gamma_[k, k+j] of the dual.  The longest span is then the dual's
     controller memory, which equals the observer memory of the code.
     """
     layout = dual_code.layout
-    profile = dynamics.span_profile(dual_code)
+    profile = dynamics.trellis(dual_code).profile
     target = dual_code.order()
     kept = residues.IncrementalHowell(layout.modulus, layout.total_dim)
     checks: list[tuple[int, int, dynamics.Row]] = []

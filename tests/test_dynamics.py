@@ -7,7 +7,7 @@ import random
 import pytest
 
 from groupcodes import dynamics as dyn
-from groupcodes import catalog, oracle, residues, verify
+from groupcodes import oracle, residues, verify
 from groupcodes.codes import GroupCode, code_equal, dual, restriction, shorten
 from groupcodes.spaces import Interval, SymbolLayout
 
@@ -82,6 +82,33 @@ def test_state_count_matches_oracle():
         c = random_code(rng, rng.choice([2, 4]), 4)
         for k in range(1, 4):
             assert dyn.state_at(c, k).order == oracle.state_count(c, k)
+
+
+# --- the trellis ------------------------------------------------------------------
+
+def test_trellis_sweeps_each_family_once(monkeypatch, rate13):
+    # every table is read off three full-width sweeps (profile, windows, cut
+    # heads), each run on first read and never again
+    code = rate13.code
+    n, built = code.layout.total_dim, []
+    init = residues.IncrementalHowell.__init__
+
+    def counted(self, modulus, width, howell=()):
+        built.append(width)
+        init(self, modulus, width, howell)
+
+    dyn.trellis.cache_clear()
+    monkeypatch.setattr(residues.IncrementalHowell, "__init__", counted)
+    tables = ("profile", "windows", "cut_heads", "interval_orders", "window_orders",
+              "subcode_ends", "window_ends")
+    for name in tables:
+        getattr(dyn.trellis(code), name)
+    assert built.count(n) == 3
+    built.clear()
+    for name in tables:
+        getattr(dyn.trellis(code), name)
+    assert built == []
+    dyn.trellis.cache_clear()
 
 
 # --- controllable subcodes / observable supercodes --------------------------------
@@ -315,12 +342,6 @@ def test_output_chains_pairs(pairs):
 def test_output_chains_rejects_negative_levels(rep6):
     with pytest.raises(ValueError, match="max_level must be >= 0"):
         dyn.output_chains(rep6, 3, -1)
-
-
-def test_ending_symbols_needs_h_in_the_subset():
-    code = catalog.rate_one_third_window(8).code
-    with pytest.raises(ValueError, match="time 5"):
-        dyn.ending_symbols(code, frozenset({1, 2}), 5)
 
 
 def test_output_chains_rate13(rate13):

@@ -57,10 +57,10 @@ def test_cli_output_matches_golden(spec, output, tmp_path):
 def test_analyze_builds_no_cut_sweep(monkeypatch, tmp_path):
     # analyze reads one cut: its state comes off the span profile, not off
     # the every-cut sweep that the machines use
-    def every_cut(code):
+    def every_cut(trellis):
         raise AssertionError("analyze swept every cut")
 
-    monkeypatch.setattr(dynamics, "_cut_heads", every_cut)
+    monkeypatch.setattr(dynamics.Trellis, "cut_heads", property(every_cut))
     assert _run("rate13", "analyze.json", tmp_path / "word.json") == \
         (GOLDEN / "rate13.analyze.json").read_text()
 

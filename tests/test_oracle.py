@@ -93,18 +93,17 @@ def test_fast_path_agreement_many_instances():
                 lay.modulus, past + future, lay.total_dim)
             lo = max(0, cut - L)
             if cut < n:
-                assert enc.input_groups[cut] == dyn.ending_symbols(
-                    code, lay.interval(lo, cut), cut)
+                assert enc.input_groups[cut] == dyn.trellis(code).window_ends[lo][cut]
             window = word[lay.starts[lo]:lay.starts[cut]]
             assert observer.observe(window, cut) == observer.observe_codeword(word, cut)
         # the sweep tables: |C_{:[m,n)}| and |C_{|[m,n)}| for every m <= n
         for m in range(n + 1):
             for nn in range(m, n + 1):
                 inside = lay.subset(range(m, nn))
-                assert dyn.interval_orders(code)[m][nn] == \
+                assert dyn.trellis(code).interval_orders[m][nn] == \
                     len(oracle.supported_inside(elems, lay, inside))
                 cols = lay.coords(inside)
-                assert dyn.window_orders(code)[m][nn] == \
+                assert dyn.trellis(code).window_orders[m][nn] == \
                     len({tuple(e[c] for c in cols) for e in elems})
         # input groups: F_k is the set of time-k symbols of C_{:[k,N)}
         t = rng.randint(0, n - 1)

@@ -1,6 +1,7 @@
 """The randomized theorem harness itself."""
 
 import dataclasses
+import functools
 import json
 import random
 
@@ -77,18 +78,19 @@ def _rotated(code, times):
 def _planted_faults():
     """(module, route, off-by-one replacement, check that must catch it) for
     every library route and every definitional route the battery compares."""
-    ss, routes, ctrl, obs, sup, ctests, otests, win, profile, phi_on = (
+    ss, routes, ctrl, obs, sup, ctests, otests, win, phi_on = (
         verify.state_space, verify.state_space_routes, dyn.controllable_on,
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
-        dyn.observability_tests, verify.window_supercode, dyn.span_profile,
-        dyn.observer_granule_on)
-    ending, cut_rows, step_table, state_at, chain_pass, chains = (
-        dyn.ending_symbols, dyn.cut_rows, mc._step_table,
-        dyn.state_at, dyn._chain_pass, dyn.output_chains)
-    orders, windows, heads, insert = (dyn.interval_orders, dyn.window_orders,
-                                      dyn._cut_heads, R.IncrementalHowell.insert)
-    subcode_ends, window_ends = dyn.subcode_ends, dyn.window_ends
-    lift = codes.lift_restriction
+        dyn.observability_tests, verify.window_supercode, dyn.observer_granule_on)
+    cut_rows, step_table, state_at, chain_pass, chains = (
+        dyn.cut_rows, mc._step_table, dyn.state_at, dyn._chain_pass, dyn.output_chains)
+    insert, lift = R.IncrementalHowell.insert, codes.lift_restriction
+
+    def table(name, fault):  # the Trellis table ``name``, as ``fault`` reads it
+        build = getattr(dyn.Trellis, name).func
+        prop = functools.cached_property(lambda trellis: fault(build(trellis)))
+        prop.__set_name__(dyn.Trellis, name)
+        return prop
 
     def bad_routes(code, times):  # reciprocal state space at the next cut
         out = routes(code, times)
@@ -106,9 +108,9 @@ def _planted_faults():
         out["window_lift"] = otests(code, max(m - 1, 0), n)["window_lift"]
         return out
 
-    def late_profile(code):  # every row keyed one time late
+    def late_profile(profile):  # every row keyed one time late
         return tuple(((),) + by_end[:-2] + (by_end[-2] + by_end[-1],)
-                     for by_end in profile(code))
+                     for by_end in profile)
 
     def short_phi(code, interval):  # Phi of the interval without its first time
         if len(interval.times(code.layout)) < 3:
@@ -116,36 +118,36 @@ def _planted_faults():
         lo = (interval.lo + 1) % code.layout.axis_len
         return phi_on(code, Interval(lo, interval.hi, wraparound=lo > interval.hi))
 
-    def short_past(code):  # past rows one time short: C_{:[0,k-1)} at cut k
-        out = heads(code)
-        return out[:1] + out[:-1]
+    def short_past(heads):  # past rows one time short: C_{:[0,k-1)} at cut k
+        return heads[:1] + heads[:-1]
 
     def short_state_past(code, k):  # the state's past rows: those that end before k-1
         lay, carrier = code.layout, code.carrier
-        past = [row for ending in profile(code)[0][:k - 1] for _, _, row in ending]
+        past = [row for ending in dyn.trellis(code).profile[0][:k - 1] for _, _, row in ending]
         future = [row for (c, _), row in zip(carrier.pivots, carrier.basis)
                   if c >= lay.starts[k]]
         return dyn.StateSpaceReport(snf.lattice_quotient_invariants(
             lay.modulus, carrier.howell, past + future))
 
-    def long_intervals(code):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
-        return tuple(row[1:] + row[-1:] for row in orders(code))
+    def long_intervals(orders):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
+        return tuple(row[1:] + row[-1:] for row in orders)
 
-    def short_windows(code):  # |C_{|[m,n)}| read as |C_{|[m,n-1)}|
-        return tuple(row[:1] + row[:-1] for row in windows(code))
+    def short_windows(orders):  # |C_{|[m,n)}| read as |C_{|[m,n-1)}|
+        return tuple(row[:1] + row[:-1] for row in orders)
 
-    def late_start(table):  # the entry [a][b] read as [a+1][b]
-        return lambda code: table(code)[1:] + table(code)[-1:]
+    def late_start(ends):  # the entry [a][b] read as [a+1][b]
+        return ends[1:] + ends[-1:]
 
     def pivot_growth(self, row, start=0):  # growth read off the pivot count,
         before = len(self.pivots())        # so a merge that only lowers a
         insert(self, row, start)           # pivot entry counts as none
         return len(self.pivots()) > before
 
-    def short_ending(code, times, h):  # Y(S) without S's first time
-        if len(times) < 3:
-            return ending(code, times, h)
-        return ending(code, times - {min(times - {h})}, h)
+    def short_ending(code, k, order, cap):  # each level without the order's first time
+        if len(order) < 2:
+            return chain_pass(code, k, order, cap)
+        out = chain_pass(code, k, order[1:], cap - 1)
+        return out[:1] + out
 
     def long_reducers(code, k):  # each label reducer's past one time long
         lay = code.layout
@@ -157,7 +159,7 @@ def _planted_faults():
         return step_table(code, min(lo + 1, k), k)
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
-        N, table = code.layout.axis_len, orders(code)
+        N, table = code.layout.axis_len, dyn.trellis(code).interval_orders
         return code.order() * table[m][min(n + 1, N)] == table[0][n] * table[m][N]
 
     def phi0_off_input(code, k, max_level=None):  # Phi_{[k,k]} as G_k / F_k
@@ -203,16 +205,20 @@ def _planted_faults():
         (verify, "lift_restriction",  # the last window's check left out
          lambda code, *windows: lift(code, *windows[:-1]), "granule-duality"),
         (dyn, "controller_granule_on", half_denominator, "end-around"),
-        (dyn, "span_profile", late_profile, "granule-factorization"),
+        (dyn.Trellis, "profile", table("profile", late_profile), "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "end-around"),
-        (dyn, "subcode_ends", late_start(subcode_ends), "granule-factorization"),
-        (dyn, "window_ends", late_start(window_ends), "granule-factorization"),
+        (dyn.Trellis, "subcode_ends", table("subcode_ends", late_start),
+         "granule-factorization"),
+        (dyn.Trellis, "window_ends", table("window_ends", late_start),
+         "granule-factorization"),
         (dyn, "controllable_on", long_overlap, "interval-test-equivalence"),
-        (dyn, "_cut_heads", short_past, "machine-roundtrip"),
-        (dyn, "interval_orders", long_intervals, "interval-test-equivalence"),
-        (dyn, "window_orders", short_windows, "interval-test-equivalence"),
+        (dyn.Trellis, "cut_heads", table("cut_heads", short_past), "machine-roundtrip"),
+        (dyn.Trellis, "interval_orders", table("interval_orders", long_intervals),
+         "interval-test-equivalence"),
+        (dyn.Trellis, "window_orders", table("window_orders", short_windows),
+         "interval-test-equivalence"),
         (R.IncrementalHowell, "insert", pivot_growth, "machine-roundtrip"),
-        (dyn, "ending_symbols", short_ending, "end-around"),
+        (dyn, "_chain_pass", short_ending, "end-around"),
         (dyn, "state_at",  # the cut read one time late
          lambda code, k: state_at(code, min(k + 1, code.layout.axis_len - 1)),
          "state-size-factorization"),
@@ -256,15 +262,15 @@ def test_raising_check_is_a_theorem_failure(monkeypatch, capsys):
     """A route that raises fails the theorem whose check called it: the run
     goes on, prints its JSON and exits 4, and each failure names the exception
     and carries the code."""
-    ending = dyn.ending_symbols
+    chain_pass = dyn._chain_pass
 
-    def whole_group(code, times, h):  # Y(S) is every symbol for |S| > 2
-        if len(times) > 2:
-            return Subgroup.full(code.layout.modulus, code.layout.widths[h])
-        return ending(code, times, h)
+    def whole_group(code, k, order, cap):  # Y(S) is every symbol for |S| > 2
+        full = Subgroup.full(code.layout.modulus, code.layout.widths[k])
+        return tuple(full if min(j, len(order)) > 1 else level
+                     for j, level in enumerate(chain_pass(code, k, order, cap)))
 
     _clear_memos()
-    monkeypatch.setattr(dyn, "ending_symbols", whole_group)
+    monkeypatch.setattr(dyn, "_chain_pass", whole_group)
     assert main(["verify-duality", "--trials", "5", "--json"]) == 4
     monkeypatch.undo()
     _clear_memos()
