@@ -117,7 +117,12 @@ def window(spec: ConvSpec, axis_len: int, margin: int | None = None) -> Windowed
 class InteriorReport:
     """Boundary-free summary of a code: everything is taken at the central
     time/cut, with index searches confined to the interior margin.  Two
-    windows of the same spec at different lengths must produce equal reports.
+    windows of the same spec at different lengths agree only once both are
+    long enough: an index search tries lengths up to N - 2 * margin, so a
+    short window can report no memory where a longer one finds it (M = 2,
+    width 1, generator 1 + D + D^3, margin 4: none at N = 10, 3 at N = 11),
+    and a pattern can move the central phase.  ROADMAP.md item 3 ("Interior
+    reports that do not depend on the window") tracks the fix.
     """
 
     state: Invariants

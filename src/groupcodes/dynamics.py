@@ -12,31 +12,28 @@ restriction, evaluated exactly:
 
 Each number has one route, its cheapest exact one.  The code's two nested
 families, its interval subcodes and its windows, live in its one cached
-``Trellis`` (``trellis``), read off three sweeps of
-``residues.IncrementalHowell`` inserts, each run on first read:
-
-* ``profile`` holds the trellis-oriented (minimal-span) rows of each
-  C_{:[k,N)}, by start k and end time b, and ``windows`` the Howell rows of
-  each C_{|[m,N)}, by m and pivot block b.  One reader turns either into
-  orders (``interval_orders``, ``window_orders``) and one into the groups of
-  block-b symbols that their rows end in (``subcode_ends``, ``window_ends``).
-* ``cut_heads`` holds the Howell rows of every prefix subcode C_{:[0,k)}.
-  The kernel of the state map at cut k is D_k = C_{:[0,k)} + C_{:[k,N)}:
-  ``state_at`` reads rows that generate it off the profile and the code's
-  basis, and ``cut_rows``, for the machines, stacks the cut heads over the
-  basis rows from block k on, as tails.
+``Trellis`` (``trellis``), read off two sweeps of
+``residues.IncrementalHowell`` inserts, each run on first read.
+``profile`` holds the trellis-oriented (minimal-span) rows of each
+C_{:[k,N)}, by start k and end time b, and ``windows`` the Howell rows of
+each C_{|[m,N)}, by m and pivot block b.  One reader turns either into
+orders (``interval_orders``, ``window_orders``).  ``state_at`` reads rows
+that generate the kernel C_{:[0,k)} + C_{:[k,N)} of the state map at cut k
+off the profile and the code's basis.
 
 Each interval test compares orders: a sum of two shortenings inside a third
 group is all of it exactly when the orders say so, because the two meet in a
 shortening too; for observability the interior term is the window's order
 |C_{|[m,n)}|.  Both tests take an empty interval [m, m), where each is the
 zero-memory test at cut m, so an index search has one test shape for every
-length.  Each ordinary granule is a quotient of two ending groups:
-Gamma_{[k,k+j]} is ``subcode_ends``' [k][k+j] modulo its [k+1][k+j], and
-Phi_{[k,k+j]} is Y([k+1,k+j]) / Y([k,k+j]) off ``window_ends``.  No sweep
-covers a set that wraps past the ends of the axis, so end-around granules
-keep their own routes (``controller_granule_on``, and ``observer_granule_on``
-with one ``_chain_pass``).  F_k is read off the code's basis.  Of the four
+length.  Each ordinary granule on [k, b] is a quotient of two groups of
+block-b symbols, each read when the granule is asked for: Gamma is the
+group that the profile rows at [k][b] end in modulo the one at [k+1][b],
+and Phi is Y([k+1,b]) / Y([k,b]), Y([a,b]) being the group of the block-b
+parts of the window rows at [a][b].  No sweep covers a set that wraps past
+the ends of the axis, so end-around granules keep their own routes
+(``controller_granule_on``, and ``observer_granule_on`` with one
+``_chain_pass``).  F_k is read off the code's basis.  Of the four
 output chains at time k, the first- and last-output chains are read off the
 profile, and the two dual chains off one ``_chain_pass`` each, over the
 times on one side of k up to the chain's top level; its rows, read
@@ -71,7 +68,7 @@ from typing import Iterable
 from . import residues, snf
 from .codes import (GroupCode, code_equal, cut_product, dual, lift_restriction,
                     restriction, shorten)
-from .residues import Pivoted, Row, Subgroup, quotient_invariants
+from .residues import Pivoted, Subgroup, quotient_invariants
 from .spaces import Interval, SymbolLayout
 
 
@@ -138,10 +135,11 @@ def trellis(code: GroupCode) -> Trellis:
 
 class Trellis:
     """The nested families of one code, off its minimal trellis: its interval
-    subcodes in ``profile`` and its windows in ``windows``, each table built
-    on first read.  Those two hold rows as (pivot column, pivot entry, row);
-    one reader turns either into orders and one into ending groups, each
-    with a last row a = N for the empty family."""
+    subcodes in ``profile`` and its windows in ``windows``, one sweep each,
+    and their orders in ``interval_orders`` and ``window_orders``, each table
+    built on first read.  ``profile`` holds its rows full-length and
+    ``windows`` as tails, (pivot column, pivot entry, row) each; one reader
+    turns either into orders, with a last row a = N for the empty family."""
 
     def __init__(self, code: GroupCode):
         self.code = code
@@ -210,20 +208,6 @@ class Trellis:
         return tuple(table)
 
     @cached_property
-    def cut_heads(self) -> tuple[tuple[tuple[int, int, Row], ...], ...]:
-        """``cut_heads[k]``, k = 0..N: the Howell rows of C_{:[0,k)}, as tails.
-        One forward sweep: cut k+1 inserts the start-0 ``profile`` rows that
-        end at time k into the rows of cut k."""
-        layout = self.code.layout
-        form = residues.IncrementalHowell(layout.modulus, layout.total_dim)
-        heads = [()]
-        for ending in self.profile[0]:
-            for _, _, row in ending:
-                form.insert(row)
-            heads.append(tuple(form.rows()))
-        return tuple(heads)
-
-    @cached_property
     def interval_orders(self) -> tuple[tuple[int, ...], ...]:
         """``[k][n]``: |C_{:[k,n)}| for 0 <= k, n <= N (1 for n <= k)."""
         return self._orders(self.profile)
@@ -234,19 +218,6 @@ class Trellis:
         the rows of C_{|[m,N)} that pivot from block n on span the kernel of
         the projection onto the window."""
         return self._orders(self.windows)
-
-    @cached_property
-    def subcode_ends(self) -> tuple[tuple[Subgroup, ...], ...]:
-        """``[a][b]``, b < N: the time-b symbols that end a word of C_{:[a,b]}
-        (trivial for b < a), since the profile rows that end before b vanish
-        there."""
-        return self._ends(self.profile, Subgroup.trivial, whole=True)
-
-    @cached_property
-    def window_ends(self) -> tuple[tuple[Subgroup, ...], ...]:
-        """``[a][b]``, b < N: Y([a, b]), the time-b symbols of the words of
-        C_{|[a,b]} that vanish on [a, b) (every symbol for b < a)."""
-        return self._ends(self.windows, Subgroup.full, whole=False)
 
     def _orders(self, table: Rows) -> tuple[tuple[int, ...], ...]:
         """``[a][n]``: the product of M/pivot over the rows at [a][b] for
@@ -263,15 +234,6 @@ class Trellis:
         out.append((1,) * (N + 1))
         return tuple(out)
 
-    def _ends(self, table: Rows, outside, whole: bool) -> tuple[tuple[Subgroup, ...], ...]:
-        """``[a][b]``: the group of the block-b parts of the rows at [a][b],
-        or ``outside`` for b < a and for a = N."""
-        layout = self.code.layout
-        fill = tuple(outside(layout.modulus, w) for w in layout.widths)
-        return (*(fill[:a] + tuple(_block_group(layout, b, rows, whole)
-                                   for b, rows in enumerate(by_end[a:], a))
-                  for a, by_end in enumerate(table)), fill)
-
 
 def _block_group(layout: SymbolLayout, t: int, rows: Iterable[Pivoted],
                  whole: bool = False) -> Subgroup:
@@ -283,18 +245,6 @@ def _block_group(layout: SymbolLayout, t: int, rows: Iterable[Pivoted],
     s, e = layout.starts[t], layout.starts[t + 1]
     return Subgroup(layout.modulus, e - s, residues.written_out(
         [(c - s, d, row[c:e] if whole else row[:e - c]) for c, d, row in rows], e - s))
-
-
-def cut_rows(code: GroupCode, k: int) -> list[tuple[int, int, Row]]:
-    """The Howell rows of C_{:[0,k)} + C_{:[k,N)}, (pivot column, pivot entry,
-    tail) per row, top row first: the summands have disjoint supports and
-    the future rows are the tail of the code's Howell basis, so the trellis's
-    ``cut_heads`` at cut k, stacked over those, are the sum's Howell form."""
-    N = code.layout.axis_len
-    if not 0 <= k <= N:
-        raise ValueError(f"cut {k} outside 0..{N}")
-    s = code.layout.starts[k]
-    return [*trellis(code).cut_heads[k], *(t for t in code.carrier.tails if t[0] >= s)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +295,18 @@ def controller_granule_on(code: GroupCode, interval: Interval) -> Invariants:
 def controller_granule(code: GroupCode, k: int, level: int) -> Invariants:
     """Gamma_{[k, k+level]}; level 0 is the parallel-transition subgroup at k.
 
-    Projected onto block k+j, the interval subcode C_{:[k,k+j]} has kernel
-    C_{:[k,k+j-1]}, which lies in the two one-short subcodes, so Gamma is
-    ``subcode_ends``' [k][k+j] modulo its [k+1][k+j].
+    Projected onto block b = k+j, the interval subcode C_{:[k,b]} has kernel
+    C_{:[k,b-1]}, which lies in the two one-short subcodes, so Gamma is the
+    group of time-b symbols that end a word of C_{:[k,b]} modulo those that
+    end a word of C_{:[k+1,b]} (trivial for j = 0): the block-b parts of the
+    ``profile`` rows at [k][b] and at [k+1][b], since the rows that end
+    before b vanish there.
     """
     _check_interval(code, k, level)
-    ends = trellis(code).subcode_ends
-    return quotient_invariants(ends[k][k + level], ends[k + 1][k + level])
+    layout, profile, b = code.layout, trellis(code).profile, k + level
+    den = (_block_group(layout, b, profile[k + 1][b], True) if level
+           else Subgroup.trivial(layout.modulus, layout.widths[b]))
+    return quotient_invariants(_block_group(layout, b, profile[k][b], True), den)
 
 
 def end_around_controller_granule(code: GroupCode, interval: Interval) -> Invariants:
@@ -383,11 +338,15 @@ def observer_granule_on(code: GroupCode, interval: Interval) -> Invariants:
 
 def observer_granule(code: GroupCode, k: int, level: int) -> Invariants:
     """Phi_{[k, k+level]}; level 0 is the symbol group modulo the code's output
-    group at k.  Y([k+1, k+j]) / Y([k, k+j]), as in ``observer_granule_on``,
-    read off ``window_ends``."""
+    group at k.  Y([k+1, b]) / Y([k, b]) with b = k+j, as in
+    ``observer_granule_on``, where Y([a, b]) is the group of the block-b parts
+    of the ``windows`` rows at [a][b]: those rows and the ones that pivot
+    later span the words of C_{|[a,N)} that vanish on [a, b)."""
     _check_interval(code, k, level)
-    ends = trellis(code).window_ends
-    return quotient_invariants(ends[k + 1][k + level], ends[k][k + level])
+    layout, windows, b = code.layout, trellis(code).windows, k + level
+    num = (_block_group(layout, b, windows[k + 1][b]) if level
+           else Subgroup.full(layout.modulus, layout.widths[b]))
+    return quotient_invariants(num, _block_group(layout, b, windows[k][b]))
 
 
 def end_around_observer_granule(code: GroupCode, interval: Interval) -> Invariants:

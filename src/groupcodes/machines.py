@@ -21,28 +21,31 @@ State labels are canonical coset representatives (Howell reduction), so they
 compare bit-exactly; isomorphism-level reporting stays in ``dynamics``.
 
 Everything a step needs is built with the machine, and the observer keeps
-only its step tables.  The table at cut k is a ``residues.IncrementalHowell``
-form started from the Howell rows of the label reducer
-D_k = C_{:[0,k)} + C_{:[k,N)}, taken as tails (``dynamics.cut_rows``, read
-off one sweep of inserts for the whole code), into which each basis row of
-the code that touches the window W = [k-L, k) is inserted as its W part
-followed by the whole row.  The form's rows that pivot in W lift a window to
-a codeword already reduced by D_k, which the table negates.  An observer or
-encoder step is then one ``residues.reduce_ints`` call on the window
-followed by zeros, and what is left past W is the canonical label on the
-columns that are not unit pivots of D_k.  Two identities make that one call
-enough.  By L-observability every codeword that vanishes on W lies in D_k,
-so the label does not depend on the lift.  The symbols that can follow the
-window are c_k + Y([k-L, k]) for any codeword c through it, and
-Y([k-L, k]) = F_k, so the encoder's base symbol is the label's own block k.
-The full-word reference ``StateObserver.observe_codeword`` reduces a whole
-codeword by D_k's rows, read when it is called.  The memory L
-is read off ``dynamics``' cached order tables, with no Howell pass.  The
-syndrome former keeps each check of the dual's span profile that grows the
-Howell form of the checks kept so far, one ``residues.IncrementalHowell``
-insert per candidate, and sorts its checks by the times they cover; a
-syndrome step adds each covering check's dot product with the new symbol to
-a running sum.
+only its step tables, built in cut order.  The table at cut k is a
+``residues.IncrementalHowell`` form started from the Howell rows of the
+label reducer D_k = C_{:[0,k)} + C_{:[k,N)}, taken as tails, into which each
+basis row of the code that touches the window W = [k-L, k) is inserted as
+its W part followed by the whole row.  The two summands of D_k have disjoint
+supports, so its Howell rows are those of C_{:[0,k)} over the code's Howell
+basis rows from block k on; one form that takes the start-0
+``dynamics.Trellis.profile`` rows by end time holds those of C_{:[0,k)} at
+each cut in turn, and each table keeps its D_k.  The form's rows that pivot
+in W lift a window to a codeword already reduced by D_k, which the table
+negates.  An observer or encoder step is then one ``residues.reduce_ints``
+call on the window followed by zeros, and what is left past W is the
+canonical label on the columns that are not unit pivots of D_k.  Two
+identities make that one call enough.  By L-observability every codeword
+that vanishes on W lies in D_k, so the label does not depend on the lift.
+The symbols that can follow the window are c_k + Y([k-L, k]) for any
+codeword c through it, and Y([k-L, k]) = F_k, so the encoder's base symbol
+is the label's own block k.  The full-word reference
+``StateObserver.observe_codeword`` reduces a whole codeword by the table's
+D_k.  The memory L is read off ``dynamics``' cached order tables, with no
+Howell pass.  The syndrome former keeps each check of the dual's span
+profile that grows the Howell form of the checks kept so far, one
+``residues.IncrementalHowell`` insert per candidate, and sorts its checks by
+the times they cover; a syndrome step adds each covering check's dot product
+with the new symbol to a running sum.
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ class _StepTable(NamedTuple):
     """The observer's step at cut k: one ``residues.reduce_ints`` call on the
     window W = [lo, k) followed by zeros.
 
-    Let D_k = C_{:[0,k)} + C_{:[k,N)} (``dynamics.cut_rows``).  A canonical
-    representative modulo D_k is zero on the unit pivot columns of D_k, and
-    so is every other row of D_k's Howell basis; the remaining columns are
-    the label's.
+    ``denom`` holds the Howell rows of D_k = C_{:[0,k)} + C_{:[k,N)}, as
+    tails, which ``StateObserver.state_count`` and ``observe_codeword`` read
+    too.  A canonical representative modulo D_k is zero on the unit pivot
+    columns of D_k, and so is every other row of D_k's Howell basis; the
+    remaining columns are the label's.
     ``rows`` first holds the lift rows: their W parts, from the pivot on,
     are the Howell basis of C_{|W}, and each is followed by the negation of
     its lift codeword reduced by D_k, on the label's columns.  Then come
@@ -123,15 +127,17 @@ class _StepTable(NamedTuple):
     zeros: list[int]            # one per label column
     places: tuple[int, ...]     # per coordinate of the label, its place in the
                                 # reduced list, or -1 (a unit pivot column of D_k)
+    denom: residues.Tails       # D_k's Howell rows
 
 
-def _step_table(code: GroupCode, lo: int, k: int) -> _StepTable:
-    """The step table at cut k for the window [lo, k).
+def _step_table(code: GroupCode, lo: int, k: int,
+                denom: residues.Tails) -> _StepTable:
+    """The step table at cut k for the window [lo, k), given ``denom``, the
+    Howell rows of D_k as tails.
 
-    One Howell form of rows [x_{|W} | x], started from D_k's rows
-    (``dynamics.cut_rows``) as [0 | D_k], into which each basis row x of the
-    code that touches W is inserted.  The others vanish on W, so they lie in
-    D_k and add nothing.
+    One Howell form of rows [x_{|W} | x], started from D_k's rows as
+    [0 | D_k], into which each basis row x of the code that touches W is
+    inserted.  The others vanish on W, so they lie in D_k and add nothing.
     The form's rows that pivot in W are the lift rows, reduced by D_k, and
     the table negates their second parts.  Every element of the span that
     vanishes on W is in [0 | D_k], so no other row is added.
@@ -140,7 +146,6 @@ def _step_table(code: GroupCode, lo: int, k: int) -> _StepTable:
     M, n, starts = layout.modulus, layout.total_dim, layout.starts
     a, b = starts[lo], starts[k]  # W is [a, b)
     w = b - a
-    denom = dynamics.cut_rows(code, k)
     form = residues.IncrementalHowell(M, w + n, [(w + c, d, t) for c, d, t in denom])
     for row in code.carrier.basis:
         if any(row[a:b]):
@@ -163,7 +168,7 @@ def _step_table(code: GroupCode, lo: int, k: int) -> _StepTable:
                 c0 = p - w
                 rows.append((place[c0], d, [t[c - c0] for c in
                                             cols[place[c0] - w:bisect_left(cols, c0 + end)]]))
-    return _StepTable(lo, w, rows, [0] * len(cols), tuple(place))
+    return _StepTable(lo, w, rows, [0] * len(cols), tuple(place), denom)
 
 
 def machine_memory(code: GroupCode) -> int:
@@ -187,8 +192,14 @@ class StateObserver:
     def __init__(self, code: GroupCode):
         self.code = code
         self.memory = machine_memory(code)
-        self._tables = [_step_table(code, max(0, k - self.memory), k)
-                        for k in range(code.layout.axis_len + 1)]
+        layout, tails = code.layout, code.carrier.tails
+        past = residues.IncrementalHowell(layout.modulus, layout.total_dim)  # C_{:[0,k)}
+        self._tables = []
+        for k, ending in enumerate(((), *dynamics.trellis(code).profile[0])):
+            for _, _, row in ending:  # the start-0 profile rows that end at time k-1
+                past.insert(row)
+            denom = [*past.rows(), *(t for t in tails if t[0] >= layout.starts[k])]
+            self._tables.append(_step_table(code, max(0, k - self.memory), k, denom))
 
     def window_times(self, k: int) -> list[int]:
         return list(range(max(0, _check_cut(self.code, k) - self.memory), k))
@@ -197,13 +208,13 @@ class StateObserver:
         """|C| / |D_k|, the order of the state space at cut k."""
         M = self.code.layout.modulus
         return self.code.order() // prod(
-            M // d for _, d, _ in dynamics.cut_rows(self.code, _check_cut(self.code, k)))
+            M // d for _, d, _ in self._tables[_check_cut(self.code, k)].denom)
 
     def observe_codeword(self, word: Sequence[int], k: int) -> Vec:
         """Label of the state of a full codeword at cut k: the word reduced
-        by D_k's rows (``dynamics.cut_rows``), read when called.  It is the
-        full-word reference that the window steps must match."""
-        denom = dynamics.cut_rows(self.code, _check_cut(self.code, k))
+        by the step table's D_k.  It is the full-word reference that the
+        window steps must match."""
+        denom = self._tables[_check_cut(self.code, k)].denom
         if not self.code.contains(word):
             raise WindowNotInRestriction("word is not a codeword")
         M, n = self.code.layout.modulus, self.code.layout.total_dim
@@ -284,7 +295,7 @@ class ObserverEncoder:
         return word, trace
 
 
-def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]:
+def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, residues.Row]]:
     """Checks (lo, hi, row) of a dual code, shortest span first.
 
     The rows of the dual's ``Trellis.profile`` with start k that end by time
@@ -299,7 +310,7 @@ def _granule_checks(dual_code: GroupCode) -> list[tuple[int, int, dynamics.Row]]
     profile = dynamics.trellis(dual_code).profile
     target = dual_code.order()
     kept = residues.IncrementalHowell(layout.modulus, layout.total_dim)
-    checks: list[tuple[int, int, dynamics.Row]] = []
+    checks: list[tuple[int, int, residues.Row]] = []
     for j in range(layout.axis_len):
         for k in range(layout.axis_len - j):
             for _, _, row in profile[k][k + j]:
@@ -323,7 +334,7 @@ class SyndromeFormer:
         # span covers k, and which of those end at k or stay active across
         # cut k+1 (lo <= k < hi), in check order
         N, starts = layout.axis_len, layout.starts
-        self._blocks: list[list[tuple[int, dynamics.Row]]] = [[] for _ in range(N)]
+        self._blocks: list[list[tuple[int, residues.Row]]] = [[] for _ in range(N)]
         self._ending: list[list[int]] = [[] for _ in range(N)]
         self._active: list[list[int]] = [[] for _ in range(N)]
         for i, (lo, hi, row) in enumerate(self._spans):

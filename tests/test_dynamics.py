@@ -55,9 +55,6 @@ def test_state_space_rejects_degenerate_cuts(rep6):
     for k in (0, 6):
         with pytest.raises(ValueError, match=f"cut {k} .* N = 6"):
             dyn.state_at(rep6, k)
-    for k in (-1, 7):  # the cut rows exist at cuts 0..N only
-        with pytest.raises(ValueError, match=f"cut {k}"):
-            dyn.cut_rows(rep6, k)
 
 
 def test_state_space_arbitrary_subset_cut(rep6):
@@ -87,8 +84,8 @@ def test_state_count_matches_oracle():
 # --- the trellis ------------------------------------------------------------------
 
 def test_trellis_sweeps_each_family_once(monkeypatch, rate13):
-    # every table is read off three full-width sweeps (profile, windows, cut
-    # heads), each run on first read and never again
+    # every table is read off two full-width sweeps (profile, windows), each
+    # run on first read and never again
     code = rate13.code
     n, built = code.layout.total_dim, []
     init = residues.IncrementalHowell.__init__
@@ -99,11 +96,10 @@ def test_trellis_sweeps_each_family_once(monkeypatch, rate13):
 
     dyn.trellis.cache_clear()
     monkeypatch.setattr(residues.IncrementalHowell, "__init__", counted)
-    tables = ("profile", "windows", "cut_heads", "interval_orders", "window_orders",
-              "subcode_ends", "window_ends")
+    tables = ("profile", "windows", "interval_orders", "window_orders")
     for name in tables:
         getattr(dyn.trellis(code), name)
-    assert built.count(n) == 3
+    assert built.count(n) == 2
     built.clear()
     for name in tables:
         getattr(dyn.trellis(code), name)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from groupcodes import dynamics
+from groupcodes import machines
 from groupcodes.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,11 +56,11 @@ def test_cli_output_matches_golden(spec, output, tmp_path):
 
 def test_analyze_builds_no_cut_sweep(monkeypatch, tmp_path):
     # analyze reads one cut: its state comes off the span profile, not off
-    # the every-cut sweep that the machines use
-    def every_cut(trellis):
-        raise AssertionError("analyze swept every cut")
+    # the per-cut step tables that the machines build
+    def every_cut(*args):
+        raise AssertionError("analyze built a step table")
 
-    monkeypatch.setattr(dynamics.Trellis, "cut_heads", property(every_cut))
+    monkeypatch.setattr(machines, "_step_table", every_cut)
     assert _run("rate13", "analyze.json", tmp_path / "word.json") == \
         (GOLDEN / "rate13.analyze.json").read_text()
 

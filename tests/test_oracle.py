@@ -89,11 +89,12 @@ def test_fast_path_agreement_many_instances():
             past = shorten(code, lay.subset(range(0, cut))).carrier.basis
             future = shorten(code, lay.subset(range(cut, n))).carrier.basis
             assert Subgroup(lay.modulus, lay.total_dim, written_out(
-                dyn.cut_rows(code, cut), lay.total_dim)) == Subgroup.span(
+                observer._tables[cut].denom, lay.total_dim)) == Subgroup.span(
                 lay.modulus, past + future, lay.total_dim)
             lo = max(0, cut - L)
             if cut < n:
-                assert enc.input_groups[cut] == dyn.trellis(code).window_ends[lo][cut]
+                assert enc.input_groups[cut] == dyn._block_group(
+                    lay, cut, dyn.trellis(code).windows[lo][cut])
             window = word[lay.starts[lo]:lay.starts[cut]]
             assert observer.observe(window, cut) == observer.observe_codeword(word, cut)
         # the sweep tables: |C_{:[m,n)}| and |C_{|[m,n)}| for every m <= n
@@ -125,6 +126,23 @@ def test_fast_path_agreement_many_instances():
                                                code.layout.total_dim)
                   if sf.is_member(list(w))}
         assert kernel == elems
+
+
+def test_granules_against_oracle_on_every_interval():
+    # every (k, level), so both on-demand reads are met at their edges: level
+    # 0, where one side is a fill, and k + level = N - 1
+    rng = random.Random(2027)
+    for _ in range(15):
+        code = random_code(rng)
+        n = code.layout.axis_len
+        elems = oracle.code_elements(code)
+        for k in range(n):
+            for level in range(n - k):
+                times = list(range(k, k + level + 1))
+                assert dyn.controller_granule(code, k, level) == \
+                    oracle.controller_granule(code, elems, times, k, k + level)
+                assert dyn.observer_granule(code, k, level) == \
+                    oracle.observer_granule(code, elems, times, k, k + level)
 
 
 def test_end_around_granule_against_oracle():

@@ -82,8 +82,8 @@ def _planted_faults():
         verify.state_space, verify.state_space_routes, dyn.controllable_on,
         dyn.observable_on, dyn.observable_supercode, dyn.controllability_tests,
         dyn.observability_tests, verify.window_supercode, dyn.observer_granule_on)
-    cut_rows, step_table, state_at, chain_pass, chains = (
-        dyn.cut_rows, mc._step_table, dyn.state_at, dyn._chain_pass, dyn.output_chains)
+    step_table, state_at, chain_pass, chains = (
+        mc._step_table, dyn.state_at, dyn._chain_pass, dyn.output_chains)
     insert, lift = R.IncrementalHowell.insert, codes.lift_restriction
 
     def table(name, fault):  # the Trellis table ``name``, as ``fault`` reads it
@@ -118,16 +118,23 @@ def _planted_faults():
         lo = (interval.lo + 1) % code.layout.axis_len
         return phi_on(code, Interval(lo, interval.hi, wraparound=lo > interval.hi))
 
-    def short_past(heads):  # past rows one time short: C_{:[0,k-1)} at cut k
-        return heads[:1] + heads[:-1]
+    def past_and_future(code, stop, k):  # rows that span C_{:[0,stop)} + C_{:[k,N)}
+        carrier = code.carrier
+        past = [row for ending in dyn.trellis(code).profile[0][:stop] for _, _, row in ending]
+        return past + [row for (c, _), row in zip(carrier.pivots, carrier.basis)
+                       if c >= code.layout.starts[k]]
+
+    def reducer(code, stop, k):  # the Howell rows of C_{:[0,stop)} + C_{:[k,N)}
+        lay = code.layout
+        return list(Subgroup.span(lay.modulus, past_and_future(code, stop, k),
+                                  lay.total_dim).tails)
+
+    def short_past(code, lo, k, denom):  # past rows one time short: C_{:[0,k-1)} at cut k
+        return step_table(code, lo, k, reducer(code, max(k - 1, 0), k))
 
     def short_state_past(code, k):  # the state's past rows: those that end before k-1
-        lay, carrier = code.layout, code.carrier
-        past = [row for ending in dyn.trellis(code).profile[0][:k - 1] for _, _, row in ending]
-        future = [row for (c, _), row in zip(carrier.pivots, carrier.basis)
-                  if c >= lay.starts[k]]
         return dyn.StateSpaceReport(snf.lattice_quotient_invariants(
-            lay.modulus, carrier.howell, past + future))
+            code.layout.modulus, code.carrier.howell, past_and_future(code, k - 1, k)))
 
     def long_intervals(orders):  # |C_{:[k,n)}| read as |C_{:[k,n+1)}|
         return tuple(row[1:] + row[-1:] for row in orders)
@@ -135,8 +142,8 @@ def _planted_faults():
     def short_windows(orders):  # |C_{|[m,n)}| read as |C_{|[m,n-1)}|
         return tuple(row[:1] + row[:-1] for row in orders)
 
-    def late_start(ends):  # the entry [a][b] read as [a+1][b]
-        return ends[1:] + ends[-1:]
+    def late_start(table):  # the rows at [a][b] read as those at [a+1][b]
+        return table[1:] + table[-1:]
 
     def pivot_growth(self, row, start=0):  # growth read off the pivot count,
         before = len(self.pivots())        # so a merge that only lowers a
@@ -149,14 +156,12 @@ def _planted_faults():
         out = chain_pass(code, k, order[1:], cap - 1)
         return out[:1] + out
 
-    def long_reducers(code, k):  # each label reducer's past one time long
-        lay = code.layout
-        rows = [row for j in (k, min(k + 1, lay.axis_len))
-                for _, _, row in R.written_out(cut_rows(code, j), lay.total_dim)]
-        return list(Subgroup.span(lay.modulus, rows, lay.total_dim).tails)
+    def long_reducers(code, lo, k, denom):  # each label reducer's past one time
+        # long: D_k + D_{k+1} = C_{:[0,k+1)} + C_{:[k,N)}
+        return step_table(code, lo, k, reducer(code, min(k + 1, code.layout.axis_len), k))
 
-    def short_table(code, lo, k):  # each step table's window one time short
-        return step_table(code, min(lo + 1, k), k)
+    def short_table(code, lo, k, denom):  # each step table's window one time short
+        return step_table(code, min(lo + 1, k), k, denom)
 
     def long_overlap(code, m, n):  # the summands' overlap one time too long
         N, table = code.layout.axis_len, dyn.trellis(code).interval_orders
@@ -207,12 +212,10 @@ def _planted_faults():
         (dyn, "controller_granule_on", half_denominator, "end-around"),
         (dyn.Trellis, "profile", table("profile", late_profile), "granule-factorization"),
         (dyn, "observer_granule_on", short_phi, "end-around"),
-        (dyn.Trellis, "subcode_ends", table("subcode_ends", late_start),
-         "granule-factorization"),
-        (dyn.Trellis, "window_ends", table("window_ends", late_start),
-         "granule-factorization"),
+        (dyn.Trellis, "profile", table("profile", late_start), "granule-factorization"),
+        (dyn.Trellis, "windows", table("windows", late_start), "granule-factorization"),
         (dyn, "controllable_on", long_overlap, "interval-test-equivalence"),
-        (dyn.Trellis, "cut_heads", table("cut_heads", short_past), "machine-roundtrip"),
+        (mc, "_step_table", short_past, "machine-roundtrip"),
         (dyn.Trellis, "interval_orders", table("interval_orders", long_intervals),
          "interval-test-equivalence"),
         (dyn.Trellis, "window_orders", table("window_orders", short_windows),
@@ -226,7 +229,7 @@ def _planted_faults():
         (dyn, "output_chains", short_first, "chain-granule-consistency"),
         (dyn, "_chain_pass", short_future, "chain-granule-consistency"),
         (dyn, "output_chains", phi0_off_input, "chain-granule-consistency"),
-        (dyn, "cut_rows", long_reducers, "machine-roundtrip"),
+        (mc, "_step_table", long_reducers, "machine-roundtrip"),
         (mc, "_step_table", short_table, "machine-roundtrip"),
         (R, "lattice_quotient_invariants", short_smith, "granule-factorization"),
     ]
